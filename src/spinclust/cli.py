@@ -31,6 +31,7 @@ from .dataset import (
     log_returns,
     pairwise_overlap_correlation,
     save_envelope,
+    write_json,
 )
 from .errors import DomainError, ParseError, SpinclustError
 from .evaluation import generate_blobs, generate_circles, minimum_spanning_tree
@@ -49,20 +50,15 @@ from .thermo import free_energy_curve
 from .validation import ari_vs_temperature, lc_vs_temperature, phase_report
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(parser: argparse.ArgumentParser, name: str, fallback: int) -> int:
+    """Integer default from the environment; a malformed value is a usage error."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
         return int(raw)
     except ValueError:
-        return fallback
-
-
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        parser.error(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 def _read_json(path: str) -> dict:
@@ -210,7 +206,7 @@ def cmd_spc(args) -> int:
     params = {"k": args.k, "q": args.q, "theta": args.theta, "steps": args.steps,
               "burn_in": args.burn_in, "seed": args.seed, "t": args.t,
               "k_hat": graph.k_hat, "length_scale_a": graph.length_scale_a}
-    _write_json(sweep_to_json(sweep, params=params, with_g=args.dump_g), args.output)
+    write_json(sweep_to_json(sweep, params=params, with_g=args.dump_g), args.output)
     print(f"wrote sweep with {len(sweep)} temperatures to {args.output}")
     return 0
 
@@ -222,7 +218,7 @@ def cmd_fspc(args) -> int:
     res = ga_run(obj, pop_size=args.pop, max_generations=args.gens,
                  stall_generations=args.stall, seed=args.seed,
                  objective=args.objective)
-    _write_json(res.to_dict(), args.output)
+    write_json(res.to_dict(), args.output)
     print(f"wrote result (fitness {res.fitness:.6g}, "
           f"{res.generations_run} generations) to {args.output}")
     return 0
@@ -253,7 +249,7 @@ def cmd_validate(args) -> int:
         best_t, best_ari = max(curve, key=lambda tv: tv[1])
         md.append(f"\nARI maximum vs reference: T={best_t:g} (ARI={best_ari:.4f})\n")
 
-    _write_json(doc, args.output + ".json")
+    write_json(doc, args.output + ".json")
     with open(args.output + ".md", "w", encoding="utf-8") as fh:
         fh.write("".join(md))
     with open(args.output + ".csv", "w", encoding="utf-8") as fh:
@@ -269,7 +265,7 @@ def cmd_mst(args) -> int:
     obj = _load_table(args.input, args.has_header)
     dist, ids = _distances_from_input(obj)
     mst = minimum_spanning_tree(dist)
-    _write_json(mst.to_dict(), args.output)
+    write_json(mst.to_dict(), args.output)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(mst.to_dot(ids))
@@ -286,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinclust {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_seed = _env_int("SPINCLUST_SEED", 0)
-    default_threads = _env_int("SPINCLUST_THREADS", 1)
+    default_seed = _env_int(parser, "SPINCLUST_SEED", 0)
+    default_threads = _env_int(parser, "SPINCLUST_THREADS", 1)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("dataset", choices=["circles", "blobs"])
@@ -333,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=default_seed)
     p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--dump-g", action="store_true",
-                   help="include the pair-correlation matrix per temperature (large)")
+                   help="include the pair correlation G of every graph edge per "
+                        "temperature, as [i, j, G] triples")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_spc)
 
@@ -366,9 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,11 @@ class DataMatrix:
             self.col_ids = [str(j) for j in range(d)]
         if len(self.row_ids) != n or len(self.col_ids) != d:
             raise DomainError("row/col id lengths must match the value shape")
+        bad = self.mask & ~np.isfinite(self.values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ParseError(f"non-finite value {self.values[i, j]} at row {self.row_ids[i]!r}, "
+                             f"column {self.col_ids[j]!r}")
 
     @property
     def n_rows(self) -> int:
@@ -105,10 +111,22 @@ class CorrelationMatrix:
                 "col_ids": list(self.row_ids), "values": self.values.tolist()}
 
 
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as strict JSON plus a newline; NaN or infinity is a DomainError.
+
+    A file the error cut short is removed, so no invalid JSON is left behind.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        os.remove(path)
+        raise DomainError(f"{path}: not written, {exc}") from None
+
+
 def save_envelope(obj: DataMatrix | CorrelationMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj.to_envelope(), fh)
-        fh.write("\n")
+    write_json(obj.to_envelope(), path)
 
 
 def load_envelope(path) -> DataMatrix | CorrelationMatrix:
@@ -137,7 +155,7 @@ def load_matrix(path, has_header: bool = True) -> DataMatrix:
     """Parse a rectangular CSV into a DataMatrix; blank cells become masked.
 
     Raises ParseError naming the offending row for ragged input, or the
-    (row, column) coordinates for a non-numeric cell.
+    (row, column) coordinates for a non-numeric or non-finite cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh)]
@@ -165,10 +183,14 @@ def load_matrix(path, has_header: bool = True) -> DataMatrix:
                 mask[i, j] = False
                 continue
             try:
-                values[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise ParseError(
                     f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: non-finite cell at row {i + 1}, column {j + 1}: {cell!r}")
+            values[i, j] = value
     if col_ids and len(col_ids) != width:
         raise ParseError(f"{path}: header has {len(col_ids)} names for {width} columns")
     return DataMatrix(values, mask, col_ids=col_ids)

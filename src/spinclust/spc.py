@@ -1,10 +1,13 @@
 """Potts-model cluster Monte Carlo over a strength graph.
 
-One chain per temperature: bonds between aligned spins activate with
-probability 1 - exp(-J/T), the active-bond components are relabeled with a
-union-find pass, and every component draws a fresh spin. After burn-in the
-chain accumulates magnetization, energy, and pair co-membership counts; the
-latter become the pair correlation matrix
+One Swendsen-Wang kernel advances a block of temperatures in lockstep as an
+R x N spin array, each temperature (replica) with its own random stream.
+Every step, bonds between aligned spins activate with probability
+1 - exp(-J/T); one connected-components pass labels the active bonds of all
+R replicas at once, on the block-diagonal union of their bond graphs; and
+every component draws a fresh spin. After burn-in the kernel accumulates
+magnetization, energy, and co-membership counts on the graph edges; the
+latter become the per-edge pair correlation
 
     G_ij = ((q - 1) * c_ij + 1) / q
 
@@ -15,9 +18,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError
 from .similarity import NeighborGraph, StrengthGraph
@@ -50,19 +55,25 @@ class BondConfiguration:
 
 @dataclass
 class TemperatureStats:
-    """Thermodynamic summary of one chain at a fixed temperature."""
+    """Thermodynamic summary of one chain at a fixed temperature.
+
+    ``edge_g[k]`` is the pair correlation G on graph edge
+    (``edge_i[k]``, ``edge_j[k]``); all three are empty when the summary was
+    read back from a record written without them.
+    """
 
     temperature: float
     mean_magnetization: float
     susceptibility: float
     mean_energy: float
     energy_samples: np.ndarray
-    two_point: np.ndarray
     n_samples: int
-    g_matrix: np.ndarray
     labeling: np.ndarray
     q: int
     h_max: float
+    edge_i: np.ndarray
+    edge_j: np.ndarray
+    edge_g: np.ndarray
 
     @property
     def cluster_sizes(self) -> list[int]:
@@ -81,27 +92,27 @@ class TemperatureStats:
                "h_max": self.h_max,
                "n_samples": self.n_samples}
         if with_g:
-            rec["g_matrix"] = self.g_matrix.tolist()
+            rec["g_edges"] = [list(e) for e in zip(self.edge_i.tolist(), self.edge_j.tolist(),
+                                                   self.edge_g.tolist())]
         return rec
 
 
 def stats_from_record(rec: dict) -> TemperatureStats:
-    """Rebuild TemperatureStats from its JSON record (G defaults to empty)."""
-    labels = np.asarray(rec["labels"], dtype=np.int64)
-    n = labels.size
-    g = np.asarray(rec["g_matrix"], dtype=float) if "g_matrix" in rec else np.zeros((0, 0))
+    """Rebuild TemperatureStats from its JSON record (edge G defaults to empty)."""
+    g_edges = np.asarray(rec.get("g_edges", []), dtype=float).reshape(-1, 3)
     return TemperatureStats(
         temperature=float(rec["T"]),
         mean_magnetization=float(rec["mean_m"]),
         susceptibility=float(rec["chi"]),
         mean_energy=float(rec["mean_H"]),
         energy_samples=np.asarray(rec["energy_samples"], dtype=float),
-        two_point=np.zeros((0, 0), dtype=np.int64),
         n_samples=int(rec["n_samples"]),
-        g_matrix=g,
-        labeling=labels,
+        labeling=np.asarray(rec["labels"], dtype=np.int64),
         q=int(rec["q"]),
         h_max=float(rec["h_max"]),
+        edge_i=g_edges[:, 0].astype(np.int64),
+        edge_j=g_edges[:, 1].astype(np.int64),
+        edge_g=g_edges[:, 2].copy(),
     )
 
 
@@ -116,69 +127,73 @@ def bond_probability(j_ij: float, t: float, same_spin: bool) -> float:
     return 1.0 - math.exp(-j_ij / t)
 
 
-def _label_components(n: int, ai, aj) -> np.ndarray:
-    """Union-find labeling of the active-bond graph.
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on n nodes with edges (rows, cols).
 
-    Merges always keep the smaller root; labels are sequentialized in
-    first-visit (ascending node index) order. ``ai``/``aj`` are plain lists
-    so the hot loop stays free of numpy scalar overhead.
+    Returns (count, labels); labels run 0..count-1 in first-visit (ascending
+    node index) order, which is how csgraph numbers components. The CSR is
+    built straight from the edge list, sorted by ``rows`` first if needed.
     """
-    parent = list(range(n))
-    for a, b in zip(ai, aj):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            if a < b:
-                parent[b] = a
-            else:
-                parent[a] = b
-    labels = np.empty(n, dtype=np.int64)
-    remap: dict[int, int] = {}
-    for v in range(n):
-        r = v
-        while parent[r] != r:
-            r = parent[r]
-        parent[v] = r
-        lab = remap.get(r)
-        if lab is None:
-            lab = len(remap)
-            remap[r] = lab
-        labels[v] = lab
-    return labels
+    if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        rows, cols = rows[order], cols[order]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(rows.size), cols.astype(np.int32, copy=False), indptr),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def _block_edges(ei: np.ndarray, ej: np.ndarray, n: int, r: int):
+    """Edge endpoints in the block-diagonal union of r copies: node v of copy k is k*n + v."""
+    shift = (n * np.arange(r, dtype=np.int32))[:, None]
+    return ei.astype(np.int32) + shift, ej.astype(np.int32) + shift
 
 
 def extended_hoshen_kopelman(bonds: BondConfiguration) -> np.ndarray:
     """Connected components of the active bonds, labels 0..k-1 in first-visit order."""
     act = np.asarray(bonds.active, dtype=bool)
-    ai = np.asarray(bonds.edge_i)[act].tolist()
-    aj = np.asarray(bonds.edge_j)[act].tolist()
-    return _label_components(bonds.n, ai, aj)
+    rows, cols = np.asarray(bonds.edge_i)[act], np.asarray(bonds.edge_j)[act]
+    return _components(bonds.n, rows, cols)[1].astype(np.int64)
 
 
-def _sw_step(spins: np.ndarray, ei: np.ndarray, ej: np.ndarray,
-             p_edge: np.ndarray, q: int, rng: np.random.Generator):
-    """One bond-sample / relabel / flip move. Returns (new_spins, sw_labels)."""
-    same = spins[ei] == spins[ej]
-    active = same & (rng.random(ei.size) < p_edge)
-    labels = _label_components(spins.size, ei[active].tolist(), ej[active].tolist())
-    n_clusters = int(labels.max()) + 1
-    cluster_spins = rng.integers(1, q + 1, size=n_clusters)
+def _sw_move(same: np.ndarray, p_edge: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+             n: int, q: int, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """One Swendsen-Wang move of R replicas.
+
+    ``same`` (R x E) flags the bonds whose spins agree, ``p_edge`` (R x E)
+    their activation probabilities, ``rows``/``cols`` the block-diagonal
+    endpoints from ``_block_edges``. Each replica draws ``random(E)`` for its
+    bonds, then one new spin per cluster. Returns (new_spins, labels), both
+    R x N; replica r's labels are offset by the clusters of replicas before it.
+    """
+    u = np.empty(p_edge.shape)
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    active = same & (u < p_edge)
+    r = len(rngs)
+    n_clusters, labels = _components(r * n, rows[active], cols[active])
+    starts = np.append(labels[::n], n_clusters)
+    cluster_spins = np.empty(n_clusters, dtype=np.int64)
+    for k, rng in enumerate(rngs):
+        lo, hi = starts[k], starts[k + 1]
+        cluster_spins[lo:hi] = rng.integers(1, q + 1, size=hi - lo)
+    labels = labels.reshape(r, n)
     return cluster_spins[labels], labels
 
 
 def swendsen_wang_step(state: SpinState, strengths: StrengthGraph, t: float,
                        rng: np.random.Generator) -> tuple[SpinState, np.ndarray]:
-    """Public single-step move on a SpinState; same path the chain uses."""
+    """Public single-step move on a SpinState; the kernel's move with one replica."""
     if t <= 0.0:
         raise DomainError("temperature must be positive")
     g = strengths.graph
-    p_edge = 1.0 - np.exp(-strengths.j / t)
-    new_spins, labels = _sw_step(state.spins, g.edge_i, g.edge_j, p_edge, state.q, rng)
-    return SpinState(new_spins, state.q), labels
+    spins = state.spins[None, :]
+    rows, cols = _block_edges(g.edge_i, g.edge_j, g.n, 1)
+    p_edge = (1.0 - np.exp(-strengths.j / t))[None, :]
+    same = spins[:, g.edge_i] == spins[:, g.edge_j]
+    new_spins, labels = _sw_move(same, p_edge, rows, cols, g.n, state.q, [rng])
+    return SpinState(new_spins[0], state.q), labels[0].astype(np.int64)
 
 
 def magnetization(labeling: np.ndarray, q: int) -> float:
@@ -199,99 +214,121 @@ def hamiltonian(state: SpinState, strengths: StrengthGraph) -> float:
 
 
 def spin_spin_correlation(two_point: np.ndarray, samples: int, q: int) -> np.ndarray:
-    """Pair correlation from co-membership counts: ((q-1)*c + 1) / q."""
+    """Pair correlation from co-membership counts: ((q-1)*c + 1) / q, elementwise."""
     if samples < 1:
         raise DomainError("need at least one sample")
     c = np.asarray(two_point, dtype=float) / samples
     return ((q - 1.0) * c + 1.0) / q
 
 
-def extract_clusters(g_matrix: np.ndarray, theta: float, graph: NeighborGraph) -> np.ndarray:
-    """Threshold the pair correlations over graph edges and take components.
+def extract_clusters(edge_g: np.ndarray, theta: float, graph: NeighborGraph) -> np.ndarray:
+    """Threshold the per-edge pair correlations and take components.
 
-    A node whose incident edges all fall below theta is attached to its
-    highest-correlation neighbor, so no node is left isolated.
+    ``edge_g[k]`` is G on edge (``graph.edge_i[k]``, ``graph.edge_j[k]``). A
+    node whose incident edges all fall below theta is attached to its
+    highest-correlation neighbor (ties to the lowest neighbor index), so no
+    node is left isolated.
     """
     if not 0.0 < theta < 1.0:
         raise DomainError("theta must lie in (0, 1)")
     ei, ej = graph.edge_i, graph.edge_j
-    keep = g_matrix[ei, ej] > theta
-    has_edge = np.zeros(graph.n, dtype=bool)
-    has_edge[ei[keep]] = True
-    has_edge[ej[keep]] = True
-    ai = ei[keep].tolist()
-    aj = ej[keep].tolist()
-    for v in np.nonzero(~has_edge)[0]:
-        nbrs = graph.neighbors(v)          # sorted, so argmax ties go low
-        best = int(nbrs[int(np.argmax(g_matrix[v, nbrs]))])
-        ai.append(min(v, best))
-        aj.append(max(v, best))
-    return _label_components(graph.n, ai, aj)
+    edge_g = np.asarray(edge_g, dtype=float)
+    keep = edge_g > theta
+    lone = np.ones(graph.n, dtype=bool)
+    lone[ei[keep]] = False
+    lone[ej[keep]] = False
+    # every edge seen from both ends; per lone end: highest G first, then lowest neighbor
+    ends = np.concatenate([ei, ej])
+    nbrs = np.concatenate([ej, ei])
+    gs = np.concatenate([edge_g, edge_g])
+    at = lone[ends]
+    ends, nbrs, gs = ends[at], nbrs[at], gs[at]
+    order = np.lexsort((nbrs, -gs, ends))
+    first = order[np.unique(ends[order], return_index=True)[1]]
+    rows = np.concatenate([ei[keep], ends[first]])
+    cols = np.concatenate([ej[keep], nbrs[first]])
+    return _components(graph.n, rows, cols)[1].astype(np.int64)
+
+
+def _run_block(strengths: StrengthGraph, temps: list[float], seeds: list, m_steps: int,
+               burn_in: int, q: int, theta: float) -> list[TemperatureStats]:
+    """The chain kernel: one chain per temperature, all advanced in lockstep.
+
+    Chain r starts from ``default_rng(seeds[r])`` with a uniform-random spin
+    state; after ``burn_in`` steps it accumulates magnetization (largest
+    spin-value population), mean-field energy of the updated state, and
+    co-membership counts of the bond clusters on every graph edge. A chain's
+    results do not depend on which other chains share its block.
+    """
+    if any(t <= 0.0 for t in temps):
+        raise DomainError("temperature must be positive")
+    if not m_steps > burn_in >= 0:
+        raise DomainError("need m_steps > burn_in >= 0")
+    if q < 2:
+        raise DomainError("q must be >= 2")
+    if not 0.0 < theta < 1.0:  # checked before the chain runs, not after
+        raise DomainError("theta must lie in (0, 1)")
+    g = strengths.graph
+    n, ei, ej, jv = g.n, g.edge_i, g.edge_j, strengths.j
+    r = len(temps)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows, cols = _block_edges(ei, ej, n, r)
+    p_edge = np.stack([1.0 - np.exp(-jv / t) for t in temps])
+
+    spins = np.stack([rng.integers(1, q + 1, size=n) for rng in rngs])
+    same = spins[:, ei] == spins[:, ej]
+    value_shift = ((q + 1) * np.arange(r))[:, None]
+    samples = m_steps - burn_in
+    co = np.zeros((r, ei.size), dtype=np.int64)
+    m_sum = np.zeros(r)
+    m2_sum = np.zeros(r)
+    energies = np.empty((r, samples))
+    qn = (q - 1.0) * n
+
+    for step in range(m_steps):
+        spins, labels = _sw_move(same, p_edge, rows, cols, n, q, rngs)
+        same = spins[:, ei] == spins[:, ej]
+        if step < burn_in:
+            continue
+        counts = np.bincount((spins + value_shift).ravel(), minlength=r * (q + 1))
+        m = (q * counts.reshape(r, q + 1).max(axis=1) - n) / qn
+        m_sum += m
+        m2_sum += m * m
+        for k in range(r):
+            energies[k, step - burn_in] = jv[~same[k]].sum() / n
+        co += labels[:, ei] == labels[:, ej]
+
+    out = []
+    for k, t in enumerate(temps):
+        mean_m = float(m_sum[k]) / samples
+        var_m = max(float(m2_sum[k]) / samples - mean_m * mean_m, 0.0)
+        edge_g = spin_spin_correlation(co[k], samples, q)
+        out.append(TemperatureStats(
+            temperature=float(t),
+            mean_magnetization=mean_m,
+            susceptibility=n / t * var_m,
+            mean_energy=float(energies[k].mean()),
+            energy_samples=energies[k],
+            n_samples=samples,
+            labeling=extract_clusters(edge_g, theta, g),
+            q=q,
+            h_max=strengths.h_max,
+            edge_i=ei,
+            edge_j=ej,
+            edge_g=edge_g,
+        ))
+    return out
 
 
 def run_temperature(strengths: StrengthGraph, t: float, m_steps: int = 2000,
                     burn_in: int = 400, q: int = 20, seed=0,
                     theta: float = 0.5) -> TemperatureStats:
-    """Run one chain at temperature t and summarize it.
-
-    The chain starts from a uniform-random spin state; after ``burn_in``
-    steps it accumulates magnetization (largest spin-value population),
-    mean-field energy of the updated state, and pair co-membership counts
-    of the bond clusters.
-    """
-    if t <= 0.0:
-        raise DomainError("temperature must be positive")
-    if not m_steps > burn_in >= 0:
-        raise DomainError("need m_steps > burn_in >= 0")
-    rng = np.random.default_rng(seed)
-    g = strengths.graph
-    n = g.n
-    ei, ej, jv = g.edge_i, g.edge_j, strengths.j
-    p_edge = 1.0 - np.exp(-jv / t)
-
-    spins = rng.integers(1, q + 1, size=n)
-    two_point = np.zeros((n, n), dtype=np.int64)
-    m_sum = 0.0
-    m2_sum = 0.0
-    energies = np.empty(m_steps - burn_in)
-    qn = (q - 1.0) * n
-
-    for step in range(m_steps):
-        spins, labels = _sw_step(spins, ei, ej, p_edge, q, rng)
-        if step < burn_in:
-            continue
-        n_max = int(np.bincount(spins, minlength=q + 1).max())
-        m = (q * n_max - n) / qn
-        m_sum += m
-        m2_sum += m * m
-        energies[step - burn_in] = jv[spins[ei] != spins[ej]].sum() / n
-        two_point += labels[:, None] == labels[None, :]
-
-    samples = m_steps - burn_in
-    mean_m = m_sum / samples
-    var_m = max(m2_sum / samples - mean_m * mean_m, 0.0)
-    chi = n / t * var_m
-    g_matrix = spin_spin_correlation(two_point, samples, q)
-    labeling = extract_clusters(g_matrix, theta, g)
-    return TemperatureStats(
-        temperature=float(t),
-        mean_magnetization=float(mean_m),
-        susceptibility=float(chi),
-        mean_energy=float(energies.mean()),
-        energy_samples=energies,
-        two_point=two_point,
-        n_samples=samples,
-        g_matrix=g_matrix,
-        labeling=labeling,
-        q=q,
-        h_max=strengths.h_max,
-    )
+    """Run one chain at temperature t and summarize it (the kernel with one replica)."""
+    return _run_block(strengths, [float(t)], [seed], m_steps, burn_in, q, theta)[0]
 
 
-def _sweep_worker(args) -> TemperatureStats:
-    strengths, t, m_steps, burn_in, q, seed_key, theta = args
-    return run_temperature(strengths, t, m_steps=m_steps, burn_in=burn_in,
-                           q=q, seed=np.random.SeedSequence(seed_key), theta=theta)
+def _block_worker(args) -> list[TemperatureStats]:
+    return _run_block(*args)
 
 
 def temperature_sweep(strengths: StrengthGraph, grid, m_steps: int = 2000,
@@ -300,8 +337,8 @@ def temperature_sweep(strengths: StrengthGraph, grid, m_steps: int = 2000,
     """Independent chains over an increasing temperature grid.
 
     Each temperature derives its own stream from (seed, grid index), so
-    results are reproducible and identical whether run serially or across
-    ``workers`` processes.
+    results are reproducible and identical whether the grid runs as one
+    kernel block or split into ``workers`` contiguous blocks, one process each.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -310,12 +347,14 @@ def temperature_sweep(strengths: StrengthGraph, grid, m_steps: int = 2000,
         raise DomainError("temperatures must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("temperature grid must be strictly increasing")
-    tasks = [(strengths, t, m_steps, burn_in, q, (seed, idx), theta)
-             for idx, t in enumerate(grid)]
-    if workers <= 1:
-        return [_sweep_worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, tasks))
+    seeds = [np.random.SeedSequence((seed, idx)) for idx in range(len(grid))]
+    blocks = np.array_split(np.arange(len(grid)), max(1, min(workers, len(grid))))
+    tasks = [(strengths, [grid[i] for i in b], [seeds[i] for i in b], m_steps, burn_in,
+              q, theta) for b in blocks]
+    if len(tasks) == 1:
+        return _block_worker(tasks[0])
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return [st for block in pool.map(_block_worker, tasks) for st in block]
 
 
 def sweep_to_json(sweep: list[TemperatureStats], params: dict | None = None,

@@ -139,7 +139,7 @@ class TestSpcFspcValidateMst:
         for key in ("T", "mean_m", "chi", "mean_H", "n_clusters",
                     "cluster_sizes", "labels", "energy_samples"):
             assert key in rec
-        assert "g_matrix" not in rec
+        assert "g_edges" not in rec
 
     def test_fspc_document_shape(self, pipeline):
         _, _, _, _, result = pipeline
@@ -205,6 +205,26 @@ class TestSpcFspcValidateMst:
                        "--output", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_spc_dump_g_then_validate(self, pipeline, tmp_path):
+        root, data, sim, sweep, _ = pipeline
+        dumped = tmp_path / "sweep_g.json"
+        assert run("spc", "--input", str(data), "--k", "4", "--q", "20",
+                   "--t", "0.01:0.15:0.02", "--steps", "300", "--burn-in", "60",
+                   "--seed", "7", "--dump-g", "--output", str(dumped)) == 0
+        doc = json.loads(dumped.read_text())
+        plain = json.loads(sweep.read_text())
+        for rec, ref in zip(doc["records"], plain["records"]):
+            triples = rec.pop("g_edges")
+            assert rec == ref
+            assert all(i < j and 0.05 - 1e-15 <= g <= 1.0 + 1e-15 for i, j, g in triples)
+            assert [(i, j) for i, j, _ in triples] == sorted({(i, j) for i, j, _ in triples})
+        for name, src in (("rep_g", dumped), ("rep_plain", sweep)):
+            assert run("validate", "--sweep", str(src), "--corr", str(sim),
+                       "--output", str(tmp_path / name)) == 0
+        for ext in (".json", ".md", ".csv"):
+            assert ((tmp_path / ("rep_g" + ext)).read_bytes()
+                    == (tmp_path / ("rep_plain" + ext)).read_bytes())
+
     def test_sweep_round_trips_through_validate_reader(self, pipeline):
         _, _, _, sweep, _ = pipeline
         from spinclust.spc import sweep_from_json, sweep_to_json
@@ -216,6 +236,40 @@ class TestSpcFspcValidateMst:
 class TestUsageErrors:
     def test_unknown_subcommand_exit_2(self):
         assert run("explode") == 2
+
+    @pytest.mark.parametrize("var", ["SPINCLUST_THREADS", "SPINCLUST_SEED"])
+    def test_malformed_env_var_exit_2(self, var, monkeypatch, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        run("generate", "blobs", "--n", "12", "--dims", "2",
+            "--sigmas", "0.2,0.2", "--seed", "1", "--output", str(data))
+        monkeypatch.setenv(var, "abc")
+        capsys.readouterr()
+        assert run("spc", "--input", str(data), "--k", "3", "--t", "0.1:0.1:0.1",
+                   "--steps", "20", "--burn-in", "5",
+                   "--output", str(tmp_path / "s.json")) == 2
+        assert var in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_exit_1(self, cell, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        rows = ["x,y"] + [f"{i},{2 * i + 1}" for i in range(6)]
+        rows[3] = f"3,{cell}"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "sim.json"
+        assert run("preprocess", "--input", str(data), "--corr", "similarity",
+                   "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "row 3, column 2" in err
+        assert not out.exists()
+
+    def test_non_finite_envelope_value_exit_1(self, capsys, tmp_path):
+        env = tmp_path / "data.json"
+        env.write_text('{"kind": "data", "row_ids": ["a", "b"], "col_ids": ["x"], '
+                       '"values": [[1.0], [NaN]]}')
+        assert run("preprocess", "--input", str(env), "--corr", "similarity",
+                   "--output", str(tmp_path / "sim.json")) == 1
+        assert "row 'b', column 'x'" in capsys.readouterr().err
 
     def test_missing_required_flag_exit_2(self):
         assert run("fspc") == 2

@@ -13,6 +13,7 @@ from spinclust.dataset import (
     make_positive_definite,
     pairwise_overlap_correlation,
     save_envelope,
+    write_json,
 )
 from spinclust.errors import (
     DegeneratePairError,
@@ -57,6 +58,22 @@ class TestLoadMatrix:
         p = write(tmp_path, "1,2\n3,oops\n")
         with pytest.raises(ParseError, match="row 2, column 2"):
             load_matrix(p, has_header=False)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_names_coordinates(self, tmp_path, cell):
+        p = write(tmp_path, f"1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(ParseError, match="non-finite cell at row 3, column 2"):
+            load_matrix(p, has_header=False)
+
+    def test_non_finite_masked_cell_allowed(self):
+        vals = np.array([[1.0, np.nan], [2.0, 3.0]])
+        mask = np.array([[True, False], [True, True]])
+        assert not DataMatrix(vals, mask).mask[0, 1]
+
+    def test_non_finite_present_value_rejected(self):
+        vals = np.array([[1.0, 2.0], [np.inf, 3.0]])
+        with pytest.raises(ParseError, match="row '1', column 'a'"):
+            DataMatrix(vals, None, col_ids=["a", "b"])
 
 
 class TestLogReturns:
@@ -173,6 +190,14 @@ class TestEnvelopes:
         assert isinstance(back, CorrelationMatrix)
         assert back.kind == "pearson"
         np.testing.assert_array_equal(back.values, corr.values)
+
+    def test_write_json_refuses_non_finite(self, tmp_path):
+        p = tmp_path / "x.json"
+        with pytest.raises(DomainError, match="x.json"):
+            write_json({"values": [1.0, float("nan")]}, p)
+        assert not p.exists()
+        write_json({"values": [1.0, 0.5]}, p)
+        assert p.read_text() == '{"values": [1.0, 0.5]}\n'
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

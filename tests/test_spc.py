@@ -1,14 +1,21 @@
+import hashlib
+import json
 import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclust.errors import DomainError
-from spinclust.similarity import mutual_knn_graph, strength_matrix
+from spinclust.evaluation import generate_blobs
+from spinclust.similarity import euclidean_distances, mutual_knn_graph, strength_matrix
 from spinclust.spc import (
     BondConfiguration,
     SpinState,
+    _block_edges,
+    _components,
     bond_probability,
     extended_hoshen_kopelman,
     extract_clusters,
@@ -110,6 +117,38 @@ class TestExtendedHoshenKopelman:
             np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def block_union(draw):
+    """R bond graphs over one shared edge list sorted by edge_i, as the kernel sees them."""
+    n = draw(st.integers(1, 25))
+    r = draw(st.integers(1, 5))
+    pairs = sorted(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 max_size=3 * n)))
+    active = draw(st.lists(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+                           min_size=r, max_size=r))
+    ei = np.array([a for a, _ in pairs], dtype=np.int64)
+    ej = np.array([b for _, b in pairs], dtype=np.int64)
+    return n, ei, ej, np.array(active, dtype=bool).reshape(r, len(pairs))
+
+
+class TestBlockLabeler:
+    @settings(max_examples=300, deadline=None)
+    @given(block_union())
+    def test_block_diagonal_union_matches_bfs_per_block(self, case):
+        n, ei, ej, active = case
+        r = active.shape[0]
+        rows, cols = _block_edges(ei, ej, n, r)
+        count, labels = _components(r * n, rows[active], cols[active])
+        blocks = labels.reshape(r, n)
+        total = 0
+        for k in range(r):
+            want = bfs_components(n, zip(ei[active[k]].tolist(), ej[active[k]].tolist()))
+            np.testing.assert_array_equal(blocks[k] - blocks[k, 0], want)
+            assert blocks[k, 0] == total  # blocks number their clusters in order
+            total += int(want.max()) + 1
+        assert count == total
+
+
 class TestSwendsenWangStep:
     def test_hot_limit_all_singletons(self):
         s = small_strength_graph()
@@ -177,42 +216,49 @@ class TestHamiltonian:
 
 class TestSpinSpinCorrelation:
     def test_always_together(self):
-        g = spin_spin_correlation(np.array([[10, 10], [10, 10]]), 10, q=20)
-        assert g[0, 1] == 1.0
+        g = spin_spin_correlation(np.array([10, 10]), 10, q=20)
+        np.testing.assert_array_equal(g, [1.0, 1.0])
 
     def test_never_together(self):
-        g = spin_spin_correlation(np.array([[10, 0], [0, 10]]), 10, q=20)
-        assert g[0, 1] == pytest.approx(0.05, abs=1e-15)
+        g = spin_spin_correlation(np.array([0]), 10, q=20)
+        assert g[0] == pytest.approx(0.05, abs=1e-15)
 
     def test_half(self):
-        g = spin_spin_correlation(np.array([[10, 5], [5, 10]]), 10, q=20)
-        assert g[0, 1] == pytest.approx(0.525, abs=1e-15)
+        g = spin_spin_correlation(np.array([5]), 10, q=20)
+        assert g[0] == pytest.approx(0.525, abs=1e-15)
 
     def test_range_and_symmetry(self):
+        # per-edge counts give G in [1/q, 1], and the same value the symmetric
+        # N x N count matrix gives on either orientation of the edge
+        graph = small_strength_graph(n=12, seed=5).graph
         rng = np.random.default_rng(5)
-        c = rng.integers(0, 11, size=(6, 6))
+        c = rng.integers(0, 11, size=(12, 12))
         c = np.triu(c) + np.triu(c, 1).T
         np.fill_diagonal(c, 10)
-        g = spin_spin_correlation(c, 10, q=20)
+        ei, ej = graph.edge_i, graph.edge_j
+        g = spin_spin_correlation(c[ei, ej], 10, q=20)
         assert g.min() >= 1 / 20 - 1e-15 and g.max() <= 1.0 + 1e-15
-        np.testing.assert_allclose(g, g.T)
-        np.testing.assert_allclose(np.diag(g), 1.0)
+        full = spin_spin_correlation(c, 10, q=20)
+        np.testing.assert_array_equal(g, full[ei, ej])
+        np.testing.assert_array_equal(g, full[ej, ei])
 
 
-def brute_extract(g_matrix, theta, graph):
+def brute_extract(edge_g, theta, graph):
     """Oracle: explicit edge construction + BFS components."""
     n = graph.n
+    pairs = list(zip(graph.edge_i.tolist(), graph.edge_j.tolist()))
+    g_of = {}
     edges = []
     has = [False] * n
-    for i, j in zip(graph.edge_i.tolist(), graph.edge_j.tolist()):
-        if g_matrix[i, j] > theta:
+    for (i, j), g in zip(pairs, edge_g):
+        g_of[i, j] = g_of[j, i] = g
+        if g > theta:
             edges.append((i, j))
             has[i] = has[j] = True
     for v in range(n):
         if not has[v]:
-            nbrs = sorted(set(graph.edge_j[graph.edge_i == v].tolist())
-                          | set(graph.edge_i[graph.edge_j == v].tolist()))
-            best = max(nbrs, key=lambda u: (g_matrix[v, u], -u))
+            nbrs = sorted({j for i, j in pairs if i == v} | {i for i, j in pairs if j == v})
+            best = max(nbrs, key=lambda u: (g_of[v, u], -u))
             edges.append((v, best))
     return bfs_components(n, edges)
 
@@ -225,17 +271,14 @@ class TestExtractClusters:
 
     def test_block_structure_recovered(self):
         graph = self.make_graph()
-        g = np.full((6, 6), 0.05)
-        g[:3, :3] = 0.9
-        g[3:, 3:] = 0.9
-        np.fill_diagonal(g, 1.0)
+        same_block = (graph.edge_i < 3) == (graph.edge_j < 3)
+        g = np.where(same_block, 0.9, 0.05)
         labels = extract_clusters(g, 0.5, graph)
         np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1, 1])
 
     def test_flat_g_matches_bruteforce(self):
         graph = self.make_graph()
-        g = np.full((6, 6), 0.05)
-        np.fill_diagonal(g, 1.0)
+        g = np.full(graph.n_edges, 0.05)
         got = extract_clusters(g, 0.5, graph)
         want = brute_extract(g, 0.5, graph)
         np.testing.assert_array_equal(got, want)
@@ -243,19 +286,26 @@ class TestExtractClusters:
     def test_high_theta_uses_fallback(self):
         graph = self.make_graph()
         rng = np.random.default_rng(6)
-        g = rng.uniform(0.0, 0.95, size=(6, 6))
-        g = 0.5 * (g + g.T)
-        np.fill_diagonal(g, 1.0)
+        g = rng.uniform(0.0, 0.95, size=graph.n_edges)
         got = extract_clusters(g, 0.99, graph)
         want = brute_extract(g, 0.99, graph)
         np.testing.assert_array_equal(got, want)
 
+    def test_fallback_ties_go_to_lowest_neighbor(self):
+        graph = small_strength_graph(n=40, seed=31, k=4).graph
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            g = rng.choice([0.1, 0.3, 0.6, 0.9], size=graph.n_edges)
+            for theta in (0.2, 0.5, 0.95):
+                np.testing.assert_array_equal(extract_clusters(g, theta, graph),
+                                              brute_extract(g, theta, graph))
+
     def test_theta_bounds(self):
         graph = self.make_graph()
         with pytest.raises(DomainError):
-            extract_clusters(np.eye(6), 0.0, graph)
+            extract_clusters(np.ones(graph.n_edges), 0.0, graph)
         with pytest.raises(DomainError):
-            extract_clusters(np.eye(6), 1.0, graph)
+            extract_clusters(np.ones(graph.n_edges), 1.0, graph)
 
 
 class TestRunTemperature:
@@ -276,13 +326,36 @@ class TestRunTemperature:
         assert st.energy_samples.max() <= s.h_max + 1e-12
         assert st.n_samples == 250
 
-    def test_g_matrix_invariants(self):
+    def test_edge_g_invariants(self):
         s = small_strength_graph(n=25, seed=11, k=3)
         st = run_temperature(s, 0.05, m_steps=200, burn_in=50, q=20, seed=12)
-        g = st.g_matrix
+        g = st.edge_g
+        assert g.shape == (s.graph.n_edges,)
         assert g.min() >= 1 / 20 - 1e-15 and g.max() <= 1.0 + 1e-15
-        np.testing.assert_allclose(g, g.T)
-        np.testing.assert_allclose(np.diag(g), 1.0)
+        np.testing.assert_array_equal(st.edge_i, s.graph.edge_i)
+        np.testing.assert_array_equal(st.edge_j, s.graph.edge_j)
+        # G takes only the values ((q - 1) * c / S + 1) / q for integer counts c
+        c = (g * 20 - 1) / 19 * st.n_samples
+        np.testing.assert_allclose(c, np.round(c), atol=1e-9)
+
+    def test_edge_g_matches_full_two_point(self):
+        # replay the chain one step at a time and count co-membership over
+        # all N x N pairs; the kernel's per-edge counts are that matrix on edges
+        s = small_strength_graph(n=30, seed=25, k=3)
+        q, t, m_steps, burn_in = 20, 0.06, 120, 30
+        st = run_temperature(s, t, m_steps=m_steps, burn_in=burn_in, q=q, seed=26)
+        rng = np.random.default_rng(26)
+        state = SpinState(rng.integers(1, q + 1, size=s.n), q=q)
+        two_point = np.zeros((s.n, s.n), dtype=np.int64)
+        energies = []
+        for step in range(m_steps):
+            state, labels = swendsen_wang_step(state, s, t, rng)
+            if step >= burn_in:
+                two_point += labels[:, None] == labels[None, :]
+                energies.append(hamiltonian(state, s))
+        full = spin_spin_correlation(two_point, m_steps - burn_in, q)
+        np.testing.assert_array_equal(st.edge_g, full[s.graph.edge_i, s.graph.edge_j])
+        np.testing.assert_array_equal(st.energy_samples, energies)
 
     def test_deterministic_bit_for_bit(self):
         s = small_strength_graph(n=30, seed=13, k=3)
@@ -291,7 +364,7 @@ class TestRunTemperature:
         assert a.mean_magnetization == b.mean_magnetization
         assert a.susceptibility == b.susceptibility
         np.testing.assert_array_equal(a.energy_samples, b.energy_samples)
-        np.testing.assert_array_equal(a.two_point, b.two_point)
+        np.testing.assert_array_equal(a.edge_g, b.edge_g)
         np.testing.assert_array_equal(a.labeling, b.labeling)
 
     def test_bad_arguments(self):
@@ -300,6 +373,10 @@ class TestRunTemperature:
             run_temperature(s, -0.1)
         with pytest.raises(DomainError):
             run_temperature(s, 0.1, m_steps=10, burn_in=10)
+        with pytest.raises(DomainError, match="q must"):
+            run_temperature(s, 0.1, m_steps=10, burn_in=2, q=1)
+        with pytest.raises(DomainError, match="theta"):
+            run_temperature(s, 0.1, m_steps=10, burn_in=2, theta=1.5)
 
 
 class TestTemperatureSweep:
@@ -354,6 +431,35 @@ class TestTemperatureSweep:
             assert a.susceptibility == b.susceptibility
             np.testing.assert_array_equal(a.labeling, b.labeling)
             np.testing.assert_array_equal(a.energy_samples, b.energy_samples)
+
+    # sweep_to_json of this instance, recorded before the chain became one
+    # lockstep kernel; any worker count must reproduce it byte for byte
+    GOLDEN_SHA256 = "fd1a774d2af6f0eea3a228a26c8611c4d911455e56d9c1149cd1110f668bac74"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_golden_sweep_json(self, workers):
+        data, _ = generate_blobs(60, 3, [0.25, 0.5, 1.0], seed=3)
+        dist = euclidean_distances(data)
+        s = strength_matrix(mutual_knn_graph(dist, k=6), dist)
+        sweep = temperature_sweep(s, [0.005, 0.03, 0.06, 0.12], m_steps=200, burn_in=50,
+                                  q=20, seed=5, workers=workers)
+        doc = sweep_to_json(sweep, params={"seed": 5})
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_dump_g_round_trip(self):
+        s = small_strength_graph(n=20, seed=27, k=3)
+        sweep = temperature_sweep(s, [0.05, 0.1], m_steps=80, burn_in=20, q=20, seed=28)
+        doc = json.loads(json.dumps(sweep_to_json(sweep, with_g=True)))
+        rec = doc["records"][0]
+        assert len(rec["g_edges"]) == s.graph.n_edges
+        i, j, g = rec["g_edges"][0]
+        assert (i, j, g) == (s.graph.edge_i[0], s.graph.edge_j[0], sweep[0].edge_g[0])
+        back = sweep_from_json(doc)
+        for a, b in zip(back, sweep):
+            np.testing.assert_array_equal(a.edge_i, b.edge_i)
+            np.testing.assert_array_equal(a.edge_j, b.edge_j)
+            np.testing.assert_array_equal(a.edge_g, b.edge_g)
+        assert sweep_to_json(back, with_g=True) == doc
 
     def test_json_round_trip(self):
         s = small_strength_graph(n=20, seed=21, k=3)

@@ -15,11 +15,12 @@ from spinclust.validation import (
 def fake_stats(t, chi, labeling, n_samples=10):
     labeling = np.asarray(labeling)
     n = labeling.size
+    path = np.arange(n - 1)  # G on a path graph through the nodes
     return TemperatureStats(
         temperature=t, mean_magnetization=0.5, susceptibility=chi,
         mean_energy=0.1, energy_samples=np.full(n_samples, 0.1),
-        two_point=np.zeros((n, n), dtype=np.int64), n_samples=n_samples,
-        g_matrix=np.eye(n), labeling=labeling, q=20, h_max=1.0)
+        n_samples=n_samples, labeling=labeling, q=20, h_max=1.0,
+        edge_i=path, edge_j=path + 1, edge_g=np.full(n - 1, 0.05))
 
 
 class TestLcVsTemperature:
