@@ -61,6 +61,17 @@ def _env_int(parser: argparse.ArgumentParser, name: str, fallback: int) -> int:
         parser.error(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+def _worker_count(raw: str) -> int:
+    """argparse type for --threads: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -139,7 +150,12 @@ def cmd_generate(args) -> int:
     if args.dataset == "circles":
         data, labels = generate_circles(args.n, noise=args.noise, seed=args.seed)
     else:
-        sigmas = [float(s) for s in args.sigmas.split(",")]
+        sigmas = []
+        for item in args.sigmas.split(","):
+            try:
+                sigmas.append(float(item))
+            except ValueError:
+                raise DomainError(f"--sigmas item {item!r} is not a number") from None
         data, labels = generate_blobs(args.n, args.dims, sigmas, seed=args.seed)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(",".join(data.col_ids) + "\n")
@@ -284,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     default_seed = _env_int(parser, "SPINCLUST_SEED", 0)
     default_threads = _env_int(parser, "SPINCLUST_THREADS", 1)
+    if default_threads < 1:
+        parser.error(f"environment variable SPINCLUST_THREADS must be at least 1, "
+                     f"got {default_threads}")
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("dataset", choices=["circles", "blobs"])
@@ -327,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=400)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=_worker_count, default=default_threads)
     p.add_argument("--dump-g", action="store_true",
                    help="include the pair correlation G of every graph edge per "
                         "temperature, as [i, j, G] triples")

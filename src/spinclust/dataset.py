@@ -27,6 +27,9 @@ CORRELATION_KINDS = ("pearson", "denoised_rmt", "denoised_imn", "similarity_from
 
 _PD_EPS = 1e-10
 
+# entries a[i, j] and a[j, i] count as equal when np.isclose(..., atol=_SYMMETRY_ATOL)
+_SYMMETRY_ATOL = 1e-12
+
 
 @dataclass
 class DataMatrix:
@@ -146,9 +149,33 @@ def load_envelope(path) -> DataMatrix | CorrelationMatrix:
         return DataMatrix(vals, mask, row_ids=[str(r) for r in doc["row_ids"]],
                           col_ids=[str(c) for c in doc["col_ids"]])
     if doc["kind"] in CORRELATION_KINDS:
-        return CorrelationMatrix(np.asarray(doc["values"], dtype=float), doc["kind"],
+        corr = CorrelationMatrix(np.asarray(doc["values"], dtype=float), doc["kind"],
                                  row_ids=[str(r) for r in doc["row_ids"]])
+        _check_envelope_correlation(corr, path)
+        return corr
     raise ParseError(f"{path}: unknown envelope kind {doc['kind']!r}")
+
+
+def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
+    """Reject a loaded correlation with non-finite cells or asymmetric entries.
+
+    Checked here rather than in CorrelationMatrix, whose callers may build
+    matrices (np.corrcoef) that are symmetric only to rounding.
+    """
+    a, ids = corr.values, corr.row_ids
+    if len(ids) != corr.n:
+        raise ParseError(f"{path}: {len(ids)} row ids for a {corr.n} x {corr.n} matrix")
+    bad = ~np.isfinite(a)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ParseError(f"{path}: non-finite value {float(a[i, j])} at row {ids[i]!r}, "
+                         f"column {ids[j]!r}")
+    skew = ~np.isclose(a, a.T, atol=_SYMMETRY_ATOL)
+    if skew.any():
+        i, j = np.argwhere(skew)[0]
+        raise DomainError(f"{path}: correlation matrix is not symmetric: "
+                          f"({ids[i]!r}, {ids[j]!r}) is {float(a[i, j])!r} but "
+                          f"({ids[j]!r}, {ids[i]!r}) is {float(a[j, i])!r}")
 
 
 def load_matrix(path, has_header: bool = True) -> DataMatrix:
@@ -260,7 +287,7 @@ def make_positive_definite(corr: CorrelationMatrix, eps: float = _PD_EPS) -> Cor
     inputs already satisfying the postcondition are returned unchanged.
     """
     a = np.asarray(corr.values, dtype=float)
-    if not np.allclose(a, a.T, atol=1e-12):
+    if not np.allclose(a, a.T, atol=_SYMMETRY_ATOL):
         raise DomainError("make_positive_definite requires a symmetric matrix")
     a = 0.5 * (a + a.T)
     for _ in range(100):

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .dataset import DataMatrix
 from .errors import DomainError
@@ -68,31 +69,27 @@ class MstEdgeList:
 
 
 def minimum_spanning_tree(dist: np.ndarray) -> MstEdgeList:
-    """Kruskal's algorithm; ties broken by (weight, i, j) lexicographic order."""
+    """Kruskal's tree with ties broken by (weight, i, j) lexicographic order.
+
+    Each pair i < j is ranked by (d[i, j], i, j), and csgraph's MST runs on
+    the ranks 1, 2, 3, ... in place of the distances. Distinct weights make
+    the tree unique, so it is the tree Kruskal's algorithm builds under that
+    order; no rank is zero, so zero-distance pairs stay edges (csgraph reads
+    a zero as "no edge"). Edges are listed in rank order, the order in which
+    Kruskal's algorithm accepts them.
+    """
     d = np.asarray(dist, dtype=float)
     n = d.shape[0]
     if d.ndim != 2 or d.shape[1] != n or n < 2:
         raise DomainError("distance matrix must be square with N >= 2")
     iu, ju = np.triu_indices(n, k=1)
-    order = sorted(range(iu.size), key=lambda k: (d[iu[k], ju[k]], int(iu[k]), int(ju[k])))
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: list[tuple[int, int, float]] = []
-    for k in order:
-        i, j = int(iu[k]), int(ju[k])
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-            edges.append((i, j, float(d[i, j])))
-            if len(edges) == n - 1:
-                break
-    return MstEdgeList(edges)
+    order = np.lexsort((ju, iu, d[iu, ju]))
+    rank = np.empty(order.size)
+    rank[order] = np.arange(1, order.size + 1)
+    tree = csgraph.minimum_spanning_tree(csr_matrix((rank, (iu, ju)), shape=(n, n)))
+    picked = order[np.sort(tree.data).astype(np.int64) - 1]
+    return MstEdgeList([(int(i), int(j), float(d[i, j]))
+                        for i, j in zip(iu[picked], ju[picked])])
 
 
 def generate_circles(n: int, noise: float = 0.5, seed: int = 0) -> tuple[DataMatrix, np.ndarray]:

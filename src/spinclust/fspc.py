@@ -88,10 +88,14 @@ def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.
     return sizes, sums
 
 
+def _labeling_sums(labeling, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """_cluster_sums of any labeling, its clusters numbered in first-visit order."""
+    return _cluster_sums(sequentialize(labeling), np.asarray(corr.values, dtype=float))
+
+
 def cluster_stats(labeling, corr: CorrelationMatrix) -> ClusterStats:
     """Exact n_s, c_s, g_s per cluster; g_s is nan when n_s <= 1 or c_s <= n_s."""
-    labels = sequentialize(labeling)
-    sizes, sums = _cluster_sums(labels, np.asarray(corr.values, dtype=float))
+    sizes, sums = _labeling_sums(labeling, corr)
     with np.errstate(invalid="ignore", divide="ignore"):
         g = np.sqrt((sums - sizes) / (sizes.astype(float) ** 2 - sizes))
     g[(sizes <= 1) | (sums <= sizes)] = np.nan
@@ -110,22 +114,26 @@ def _lc_from_sums(sizes: np.ndarray, sums: np.ndarray) -> float:
     return 0.5 * float(terms.sum())
 
 
-def likelihood(labeling, corr: CorrelationMatrix) -> float:
-    """Log-likelihood of a labeling; 0 for all-singleton or structureless input."""
-    labels = sequentialize(labeling)
-    sizes, sums = _cluster_sums(labels, np.asarray(corr.values, dtype=float))
-    return _lc_from_sums(sizes, sums)
-
-
-def kmeans_hamiltonian(labeling, corr: CorrelationMatrix) -> float:
-    """K-means-style objective sum of (n_s - n_s / c_s)."""
-    labels = sequentialize(labeling)
-    sizes, sums = _cluster_sums(labels, np.asarray(corr.values, dtype=float))
+def _kmeans_from_sums(sizes: np.ndarray, sums: np.ndarray) -> float:
     if np.any(sums == 0.0):
         bad = int(np.flatnonzero(sums == 0.0)[0])
         raise DegenerateClusterError(f"cluster {bad} has zero intra-cluster sum")
     n = sizes.astype(float)
     return float((n - n / sums).sum())
+
+
+# objective name -> score of a labeling from its cluster sizes and sums
+_SCORERS = {"lc": _lc_from_sums, "kmeans": _kmeans_from_sums}
+
+
+def likelihood(labeling, corr: CorrelationMatrix) -> float:
+    """Log-likelihood of a labeling; 0 for all-singleton or structureless input."""
+    return _lc_from_sums(*_labeling_sums(labeling, corr))
+
+
+def kmeans_hamiltonian(labeling, corr: CorrelationMatrix) -> float:
+    """K-means-style objective sum of (n_s - n_s / c_s)."""
+    return _kmeans_from_sums(*_labeling_sums(labeling, corr))
 
 
 def _distinct_pair(rng: np.random.Generator, k: int) -> tuple[int, int]:
@@ -208,26 +216,16 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         raise DomainError("pop_size must be >= 2")
     if max_generations < 1:
         raise DomainError("max_generations must be >= 1")
-    if objective not in ("lc", "kmeans"):
+    if objective not in _SCORERS:
         raise DomainError(f"unknown objective {objective!r}")
 
+    score = _SCORERS[objective]
     cvals = np.asarray(corr.values, dtype=float)
     n = cvals.shape[0]
 
-    if objective == "lc":
-        def fitness(labels: np.ndarray) -> float:
-            return _lc_from_sums(*_cluster_sums(labels, cvals))
-    else:
-        def fitness(labels: np.ndarray) -> float:
-            sizes, sums = _cluster_sums(labels, cvals)
-            if np.any(sums == 0.0):
-                raise DegenerateClusterError("zero intra-cluster sum during search")
-            s = sizes.astype(float)
-            return float((s - s / sums).sum())
-
     rng = np.random.default_rng(seed)
     pop = [sequentialize(rng.integers(0, n, size=n)) for _ in range(pop_size)]
-    fits = np.array([fitness(ind) for ind in pop])
+    fits = np.array([score(*_cluster_sums(ind, cvals)) for ind in pop])
 
     best_idx = int(np.argmax(fits))
     best_labels = pop[best_idx].copy()
@@ -241,7 +239,7 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         kinds = rng.integers(0, len(MUTATION_KINDS), size=pop_size)
         children = [mutate(pop[i], MUTATION_KINDS[kinds[i]], rng)
                     for i in range(pop_size)]
-        child_fits = np.array([fitness(ch) for ch in children])
+        child_fits = np.array([score(*_cluster_sums(ch, cvals)) for ch in children])
 
         all_fits = np.concatenate([fits, child_fits])
         order = np.argsort(-all_fits, kind="stable")[:pop_size]

@@ -32,11 +32,6 @@ class NeighborGraph:
     k_hat: float                # 2 * edge count / n
     length_scale_a: float       # mean edge distance
 
-    def neighbors(self, node: int) -> np.ndarray:
-        out = np.concatenate([self.edge_j[self.edge_i == node],
-                              self.edge_i[self.edge_j == node]])
-        return np.sort(out)
-
     @property
     def n_edges(self) -> int:
         return self.edge_i.size
@@ -113,38 +108,32 @@ def mutual_knn_graph(dist: np.ndarray, k: int) -> NeighborGraph:
     """Mutual K-nearest-neighbor graph, connected via MST augmentation.
 
     An edge (i, j) exists iff each endpoint is among the other's k nearest
-    neighbors (distance ties broken by ascending index); the distance-matrix
-    MST is then merged in so the graph has a single component regardless
-    of k.
+    neighbors; the distance-matrix MST is then merged in so the graph has a
+    single component regardless of k. Neighbor ties are broken by ascending
+    index: one stable row-wise argsort ranks each row by (distance, index),
+    with the diagonal set to +inf, so for finite distances a node is never
+    its own neighbor. Edges are listed with edge_i < edge_j, sorted by
+    (edge_i, edge_j).
     """
     d = np.asarray(dist, dtype=float)
     n = d.shape[0]
     if not 1 <= k < n:
         raise DomainError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
 
-    # k nearest per row, self excluded, ties by (distance, index)
-    idx = np.arange(n)
-    knn: list[set[int]] = []
-    for i in range(n):
-        order = np.lexsort((idx, d[i]))
-        order = order[order != i][:k]
-        knn.append(set(order.tolist()))
+    ranked = d.copy()
+    np.fill_diagonal(ranked, np.inf)
+    nearest = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+    near = np.zeros((n, n), dtype=bool)
+    near[np.arange(n)[:, None], nearest] = True
+    upper = np.triu(near & near.T, k=1)
+    tree = np.array([(i, j) for i, j, _ in minimum_spanning_tree(d).edges])
+    upper[tree[:, 0], tree[:, 1]] = True
 
-    edges = set()
-    for i in range(n):
-        for j in knn[i]:
-            if j > i and i in knn[j]:
-                edges.add((i, int(j)))
-    for i, j, _ in minimum_spanning_tree(d).edges:
-        edges.add((min(i, j), max(i, j)))
-
-    pairs = sorted(edges)
-    ei = np.array([p[0] for p in pairs], dtype=int)
-    ej = np.array([p[1] for p in pairs], dtype=int)
+    ei, ej = np.nonzero(upper)
     ed = d[ei, ej]
-    if ed.size and ed.max() <= 0.0:
+    if ed.max() <= 0.0:
         raise DegenerateInputError("all graph edges have zero length")
-    k_hat = 2.0 * len(pairs) / n
+    k_hat = 2.0 * ei.size / n
     a = float(ed.mean())
     return NeighborGraph(n, ei, ej, ed, k_hat, a)
 

@@ -271,6 +271,47 @@ class TestUsageErrors:
                    "--output", str(tmp_path / "sim.json")) == 1
         assert "row 'b', column 'x'" in capsys.readouterr().err
 
+    def test_generate_bad_sigma_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run("generate", "blobs", "--sigmas", "0.1,abc",
+                   "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: --sigmas item 'abc' is not a number"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+    def test_threads_below_one_exit_2(self, flag, env, monkeypatch, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        run("generate", "blobs", "--n", "12", "--dims", "2",
+            "--sigmas", "0.2,0.2", "--seed", "1", "--output", str(data))
+        if env is not None:
+            monkeypatch.setenv("SPINCLUST_THREADS", env)
+        argv = ["spc", "--input", str(data), "--k", "3", "--t", "0.1:0.1:0.1",
+                "--steps", "20", "--burn-in", "5", "--output", str(tmp_path / "s.json")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("ids, upper, lower, expect", [
+        ("abcd", float("nan"), float("nan"), "non-finite value nan at row 'a', column 'd'"),
+        ("abcd", 5.0, -3.0, "('a', 'd') is 5.0 but ('d', 'a') is -3.0"),
+        ("abc", 0.0, 0.0, "3 row ids for a 4 x 4 matrix"),
+    ], ids=["nan", "asymmetric", "short_ids"])
+    def test_bad_correlation_envelope_exit_1(self, ids, upper, lower, expect, capsys, tmp_path):
+        c = np.eye(4)
+        c[0, 3], c[3, 0] = upper, lower
+        env = tmp_path / "corr.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": list(ids),
+                                   "col_ids": list(ids), "values": c.tolist()}))
+        out = tmp_path / "r.json"
+        assert run("fspc", "--corr", str(env), "--pop", "4", "--gens", "3",
+                   "--output", str(out)) == 1
+        assert expect in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag_exit_2(self):
         assert run("fspc") == 2
 

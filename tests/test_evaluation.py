@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinclust.dataset import DataMatrix
 from spinclust.errors import DomainError
@@ -95,6 +97,46 @@ def prim_mst_weight(d):
     return total
 
 
+def kruskal_reference(d):
+    """Kruskal's algorithm over a Python key sort and a union-find: the tie-rule oracle.
+
+    Pairs i < j are taken in (weight, i, j) order; the result lists the
+    accepted edges in the order they were accepted.
+    """
+    n = d.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    order = sorted(range(iu.size), key=lambda k: (d[iu[k], ju[k]], int(iu[k]), int(ju[k])))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = []
+    for k in order:
+        i, j = int(iu[k]), int(ju[k])
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            edges.append((i, j, float(d[i, j])))
+            if len(edges) == n - 1:
+                break
+    return edges
+
+
+@st.composite
+def tied_distances(draw):
+    """Symmetric zero-diagonal matrices of small integers: many ties and zero distances."""
+    n = draw(st.integers(2, 40))
+    upper = draw(st.lists(st.integers(0, 4), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, k=1)] = upper
+    return d + d.T
+
+
 class TestMinimumSpanningTree:
     def test_three_points(self):
         d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
@@ -129,6 +171,10 @@ class TestMinimumSpanningTree:
             touched.add(i)
             touched.add(j)
         assert touched == set(range(25))
+
+    @given(tied_distances())
+    def test_equals_kruskal_reference_with_ties(self, d):
+        assert minimum_spanning_tree(d).edges == kruskal_reference(d)
 
     def test_dot_export(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])

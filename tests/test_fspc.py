@@ -272,6 +272,12 @@ class TestGaRun:
                      stall_generations=40, seed=59, objective="kmeans")
         assert res.fitness >= kmeans_hamiltonian(planted, corr) - 1e-9
 
+    def test_kmeans_zero_sum_names_cluster(self):
+        c = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(DegenerateClusterError, match="cluster 0 has zero intra-cluster sum"):
+            ga_run(CorrelationMatrix(c, "pearson"), pop_size=4, max_generations=50,
+                   seed=0, objective="kmeans")
+
     def test_bad_params(self):
         corr = CorrelationMatrix(np.eye(4), "pearson")
         with pytest.raises(DomainError):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_evaluation import kruskal_reference, tied_distances
 
 from spinclust.dataset import CorrelationMatrix, DataMatrix
 from spinclust.errors import DegenerateInputError, DomainError
@@ -145,6 +148,27 @@ class TestMutualKnnGraph:
         g = mutual_knn_graph(d, k=2)
         touched = set(g.edge_i.tolist()) | set(g.edge_j.tolist())
         assert touched == set(range(20))
+
+    @given(st.data())
+    def test_equals_brute_mutual_knn_plus_reference_mst(self, data):
+        d = data.draw(tied_distances())
+        n = d.shape[0]
+        k = data.draw(st.integers(1, n - 1))
+        pairs = sorted(brute_mutual_knn(d, k) | {(i, j) for i, j, _ in kruskal_reference(d)})
+        ei = np.array([i for i, _ in pairs], dtype=int)
+        ej = np.array([j for _, j in pairs], dtype=int)
+        ed = d[ei, ej]
+        if ed.max() <= 0.0:
+            with pytest.raises(DegenerateInputError):
+                mutual_knn_graph(d, k)
+            return
+        g = mutual_knn_graph(d, k)
+        np.testing.assert_array_equal(g.edge_i, ei)
+        np.testing.assert_array_equal(g.edge_j, ej)
+        np.testing.assert_array_equal(g.edge_dist, ed)
+        assert g.edge_i.dtype == ei.dtype and g.edge_j.dtype == ej.dtype
+        assert g.k_hat == 2.0 * len(pairs) / n
+        assert g.length_scale_a == float(ed.mean())
 
     def test_bad_k_rejected(self):
         d = np.zeros((5, 5))
