@@ -30,6 +30,9 @@ _PD_EPS = 1e-10
 # entries a[i, j] and a[j, i] count as equal when np.isclose(..., atol=_SYMMETRY_ATOL)
 _SYMMETRY_ATOL = 1e-12
 
+# a loaded correlation's diagonal must be 1, and |r| <= 1, within this tolerance
+_UNIT_TOL = 1e-12
+
 
 @dataclass
 class DataMatrix:
@@ -140,25 +143,52 @@ def load_envelope(path) -> DataMatrix | CorrelationMatrix:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON ({exc})") from None
     for key in ("kind", "row_ids", "col_ids", "values"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise ParseError(f"{path}: envelope missing field {key!r}")
+    raw = _value_rows(doc["values"], path)
     if doc["kind"] == "data":
-        raw = doc["values"]
         mask = np.array([[cell is not None for cell in row] for row in raw], dtype=bool)
-        vals = np.array([[0.0 if cell is None else float(cell) for cell in row] for row in raw])
+        vals = _cells([[0.0 if cell is None else cell for cell in row] for row in raw], path)
         return DataMatrix(vals, mask, row_ids=[str(r) for r in doc["row_ids"]],
                           col_ids=[str(c) for c in doc["col_ids"]])
     if doc["kind"] in CORRELATION_KINDS:
-        corr = CorrelationMatrix(np.asarray(doc["values"], dtype=float), doc["kind"],
+        corr = CorrelationMatrix(_cells(raw, path), doc["kind"],
                                  row_ids=[str(r) for r in doc["row_ids"]])
         _check_envelope_correlation(corr, path)
         return corr
     raise ParseError(f"{path}: unknown envelope kind {doc['kind']!r}")
 
 
-def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
-    """Reject a loaded correlation with non-finite cells or asymmetric entries.
+def _value_rows(raw, path) -> list:
+    """The envelope's ``values``: a non-empty list of rows, all as long as the first.
 
+    A ParseError names the first row (0-based) that is not a list or has
+    another length.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f"{path}: values must be a non-empty list of rows")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise ParseError(f"{path}: values[{i}] is {row!r}, not a list of cells")
+        if len(row) != len(raw[0]):
+            raise ParseError(f"{path}: values[{i}] has {len(row)} cells, "
+                             f"values[0] has {len(raw[0])}")
+    return raw
+
+
+def _cells(rows: list, path) -> np.ndarray:
+    try:
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: non-numeric cell in values ({exc})") from None
+
+
+def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
+    """Reject a loaded correlation that breaks the envelope contract.
+
+    Cells must be finite, the matrix symmetric and its diagonal 1 (both
+    within 1e-12), and |r| <= 1 + 1e-12 for every kind but ``denoised_imn``,
+    whose iterated row/column standardization does not bound its entries.
     Checked here rather than in CorrelationMatrix, whose callers may build
     matrices (np.corrcoef) that are symmetric only to rounding.
     """
@@ -176,6 +206,17 @@ def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
         raise DomainError(f"{path}: correlation matrix is not symmetric: "
                           f"({ids[i]!r}, {ids[j]!r}) is {float(a[i, j])!r} but "
                           f"({ids[j]!r}, {ids[i]!r}) is {float(a[j, i])!r}")
+    off = np.abs(np.diag(a) - 1.0) > _UNIT_TOL
+    if off.any():
+        i = int(np.argmax(off))
+        raise DomainError(f"{path}: diagonal entry ({ids[i]!r}, {ids[i]!r}) is "
+                          f"{float(a[i, i])!r}, not 1")
+    if corr.kind != "denoised_imn":
+        big = np.abs(a) > 1.0 + _UNIT_TOL
+        if big.any():
+            i, j = np.argwhere(big)[0]
+            raise DomainError(f"{path}: {corr.kind} entry ({ids[i]!r}, {ids[j]!r}) is "
+                              f"{float(a[i, j])!r}, outside [-1, 1]")
 
 
 def load_matrix(path, has_header: bool = True) -> DataMatrix:
@@ -248,57 +289,61 @@ def log_returns(prices: DataMatrix) -> DataMatrix:
 def pairwise_overlap_correlation(data: DataMatrix, min_overlap: int = 3) -> CorrelationMatrix:
     """Pearson correlations computed on the jointly observed columns of each row pair.
 
-    Every pair must share at least ``min_overlap`` observed columns and have
-    nonzero variance on that window; otherwise the pair is reported in the
-    raised error. On fully observed input this reduces to the plain Pearson
-    matrix.
+    Rows are centered on their observed means (masked cells stay 0); counts,
+    sums, squares and cross sums over every pair's window are then matrix
+    products with the mask. The first pair (i < j, row-major) that shares
+    fewer than ``min_overlap`` columns, or on whose window a row's variance
+    is at most 1e-12 times its sum of squares, is named in the raised error.
+    Pairs whose sum of squares exceeds 100 times the variance (a window far
+    from its row's mean) lose digits in one pass and are redone two-pass.
     """
-    n = data.n_rows
-    out = np.eye(n)
-    vals, mask = data.values, data.mask
-    for i in range(n):
-        for j in range(i + 1, n):
-            joint = mask[i] & mask[j]
-            overlap = int(joint.sum())
-            if overlap < min_overlap:
-                raise InsufficientOverlapError(
-                    f"rows ({data.row_ids[i]}, {data.row_ids[j]}) share only "
-                    f"{overlap} columns, need >= {min_overlap}")
-            x = vals[i, joint]
-            y = vals[j, joint]
-            xc = x - x.mean()
-            yc = y - y.mean()
-            sx = math.sqrt(float(xc @ xc))
-            sy = math.sqrt(float(yc @ yc))
-            if sx == 0.0 or sy == 0.0:
-                raise DegeneratePairError(
-                    f"rows ({data.row_ids[i]}, {data.row_ids[j]}) have zero "
-                    f"variance on their {overlap}-column overlap")
-            r = float(xc @ yc) / (sx * sy)
-            out[i, j] = out[j, i] = min(1.0, max(-1.0, r))
-    return CorrelationMatrix(out, "pearson", row_ids=list(data.row_ids))
+    m = data.mask.astype(float)
+    x = np.where(data.mask, data.values, 0.0)
+    mean = x.sum(1, keepdims=True) / np.maximum(m.sum(1, keepdims=True), 1.0)
+    x = np.where(data.mask, x - mean, 0.0)
+    count, sums, squares = m @ m.T, x @ m.T, (x * x) @ m.T  # [i, j]: row i on pair's window
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = squares - sums * sums / count
+        r = (x @ x.T - sums * sums.T / count) / np.sqrt(var * var.T)
+    flat = ~(var > 1e-12 * squares)  # also true for the NaN of an empty window
+    bad = np.argwhere(np.triu((count < min_overlap) | flat | flat.T, k=1))
+    if bad.size:
+        i, j = bad[0]
+        pair, overlap = f"rows ({data.row_ids[i]}, {data.row_ids[j]})", int(count[i, j])
+        if overlap < min_overlap:
+            raise InsufficientOverlapError(
+                f"{pair} share only {overlap} columns, need >= {min_overlap}")
+        raise DegeneratePairError(f"{pair} have zero variance on their {overlap}-column overlap")
+    i, j = np.nonzero(np.triu((squares > 100 * var) | (squares > 100 * var).T, k=1))
+    joint = data.mask[i] & data.mask[j]
+    a, b = (np.where(joint, v - (v * joint).sum(1, keepdims=True) / count[i, j, None], 0.0)
+            for v in (x[i], x[j]))
+    r[i, j] = r[j, i] = (a * b).sum(1) / np.sqrt((a * a).sum(1) * (b * b).sum(1))
+    r = np.clip(r, -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
+    return CorrelationMatrix(r, "pearson", row_ids=list(data.row_ids))
 
 
 def make_positive_definite(corr: CorrelationMatrix, eps: float = _PD_EPS) -> CorrelationMatrix:
-    """Clip eigenvalues below eps, reconstruct, and rescale to unit diagonal.
+    """Repair a symmetric matrix to unit diagonal and smallest eigenvalue >= eps.
 
-    The clip/rescale pair is iterated to a fixed point because the diagonal
-    rescale can push the smallest eigenvalue back under eps. Idempotent:
-    inputs already satisfying the postcondition are returned unchanged.
+    Input that already qualifies is returned unchanged. Otherwise one eigh
+    clips the spectrum at c = 2 eps max(1, lambda_max) and the rebuilt B is
+    rescaled to D^-1 B D^-1, D = sqrt(diag B). By congruence its smallest
+    eigenvalue is >= c / max_i B_ii >= 2 eps; one left under eps by
+    rounding is a DomainError.
     """
     a = np.asarray(corr.values, dtype=float)
     if not np.allclose(a, a.T, atol=_SYMMETRY_ATOL):
         raise DomainError("make_positive_definite requires a symmetric matrix")
     a = 0.5 * (a + a.T)
-    for _ in range(100):
-        w = np.linalg.eigvalsh(a)
-        diag_ok = np.max(np.abs(np.diag(a) - 1.0)) <= 1e-12
-        if w[0] >= eps and diag_ok:
-            break
+    if np.linalg.eigvalsh(a)[0] < eps or np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
         w, v = np.linalg.eigh(a)
-        a = (v * np.maximum(w, eps)) @ v.T
-        d = np.sqrt(np.diag(a))
-        a = a / np.outer(d, d)
+        a = (v * np.maximum(w, 2.0 * eps * max(1.0, w[-1]))) @ v.T
+        a = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))
         a = 0.5 * (a + a.T)
         np.fill_diagonal(a, 1.0)
+        if (low := np.linalg.eigvalsh(a)[0]) < eps:
+            raise DomainError(f"positive-definite repair left smallest eigenvalue "
+                              f"{low:.3g} < eps = {eps:.3g}")
     return CorrelationMatrix(a, corr.kind, row_ids=list(corr.row_ids))

@@ -32,17 +32,12 @@ def min_max_scale(data: DataMatrix) -> DataMatrix:
     Only present entries participate in the min/max; the mask is preserved.
     Constant columns map to 0 so the transform stays total.
     """
-    vals = data.values.copy()
-    out = np.zeros_like(vals)
-    for j in range(data.n_cols):
-        m = data.mask[:, j]
-        if not m.any():
-            continue
-        col = vals[m, j]
-        lo, hi = col.min(), col.max()
-        if hi > lo:
-            out[m, j] = (col - lo) / (hi - lo)
-        # constant column: leave at 0
+    lo = np.where(data.mask, data.values, np.inf).min(axis=0)
+    hi = np.where(data.mask, data.values, -np.inf).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = (data.values - lo) / (hi - lo)
+    # constant or fully masked column: leave at 0
+    out = np.where(data.mask & (hi > lo), scaled, 0.0)
     return DataMatrix(out, data.mask.copy(), row_ids=list(data.row_ids),
                       col_ids=list(data.col_ids))
 

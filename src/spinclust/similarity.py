@@ -53,24 +53,6 @@ class StrengthGraph:
         """Mean-field energy ceiling: every bond unsatisfied."""
         return float(self.j.sum()) / self.graph.n
 
-    def to_dict(self) -> dict:
-        g = self.graph
-        return {"kind": "strength_graph", "n": g.n, "k_hat": g.k_hat,
-                "length_scale_a": g.length_scale_a,
-                "edges": [{"i": int(i), "j": int(jj), "d": float(d), "J": float(v)}
-                          for i, jj, d, v in zip(g.edge_i, g.edge_j, g.edge_dist, self.j)]}
-
-
-def strength_graph_from_dict(doc: dict) -> StrengthGraph:
-    edges = doc["edges"]
-    ei = np.array([e["i"] for e in edges], dtype=int)
-    ej = np.array([e["j"] for e in edges], dtype=int)
-    ed = np.array([e["d"] for e in edges], dtype=float)
-    jv = np.array([e["J"] for e in edges], dtype=float)
-    graph = NeighborGraph(int(doc["n"]), ei, ej, ed,
-                          float(doc["k_hat"]), float(doc["length_scale_a"]))
-    return StrengthGraph(graph, jv)
-
 
 def euclidean_distances(data: DataMatrix) -> np.ndarray:
     """Pairwise Euclidean distances between rows; requires fully observed data."""

@@ -299,7 +299,8 @@ class TestUsageErrors:
         ("abcd", float("nan"), float("nan"), "non-finite value nan at row 'a', column 'd'"),
         ("abcd", 5.0, -3.0, "('a', 'd') is 5.0 but ('d', 'a') is -3.0"),
         ("abc", 0.0, 0.0, "3 row ids for a 4 x 4 matrix"),
-    ], ids=["nan", "asymmetric", "short_ids"])
+        ("abcd", 3.0, 3.0, "pearson entry ('a', 'd') is 3.0, outside [-1, 1]"),
+    ], ids=["nan", "asymmetric", "short_ids", "above_one"])
     def test_bad_correlation_envelope_exit_1(self, ids, upper, lower, expect, capsys, tmp_path):
         c = np.eye(4)
         c[0, 3], c[3, 0] = upper, lower
@@ -308,6 +309,33 @@ class TestUsageErrors:
                                    "col_ids": list(ids), "values": c.tolist()}))
         out = tmp_path / "r.json"
         assert run("fspc", "--corr", str(env), "--pop", "4", "--gens", "3",
+                   "--output", str(out)) == 1
+        assert expect in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_unit_diagonal_exit_1(self, capsys, tmp_path):
+        c = np.eye(3)
+        c[1, 1] = 7.0
+        env = tmp_path / "corr.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": list("abc"),
+                                   "col_ids": list("abc"), "values": c.tolist()}))
+        out = tmp_path / "r.json"
+        assert run("fspc", "--corr", str(env), "--pop", "4", "--gens", "3",
+                   "--output", str(out)) == 1
+        assert "diagonal entry ('b', 'b') is 7.0, not 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["data", "pearson"])
+    @pytest.mark.parametrize("values, expect", [
+        ([[1.0, 0.5], [0.5]], "values[1] has 1 cells, values[0] has 2"),
+        ([1.0, 0.5], "values[0] is 1.0, not a list of cells"),
+    ], ids=["ragged", "flat"])
+    def test_malformed_envelope_values_exit_1(self, kind, values, expect, capsys, tmp_path):
+        env = tmp_path / "in.json"
+        env.write_text(json.dumps({"kind": kind, "row_ids": ["a", "b"],
+                                   "col_ids": ["a", "b"], "values": values}))
+        out = tmp_path / "out.json"
+        assert run("preprocess", "--input", str(env), "--denoise", "imn",
                    "--output", str(out)) == 1
         assert expect in capsys.readouterr().err
         assert not out.exists()

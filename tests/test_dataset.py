@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclust.dataset import (
     CorrelationMatrix,
@@ -106,7 +108,96 @@ class TestLogReturns:
             log_returns(dm)
 
 
+def overlap_reference(data: DataMatrix, min_overlap: int = 3) -> np.ndarray:
+    """Per-pair loop oracle: two-pass Pearson on each pair's joint columns."""
+    n = data.n_rows
+    out = np.eye(n)
+    vals, mask = data.values, data.mask
+    for i in range(n):
+        for j in range(i + 1, n):
+            joint = mask[i] & mask[j]
+            overlap = int(joint.sum())
+            if overlap < min_overlap:
+                raise InsufficientOverlapError(
+                    f"rows ({data.row_ids[i]}, {data.row_ids[j]}) share only "
+                    f"{overlap} columns, need >= {min_overlap}")
+            x = vals[i, joint]
+            y = vals[j, joint]
+            xc = x - x.mean()
+            yc = y - y.mean()
+            sx = math.sqrt(float(xc @ xc))
+            sy = math.sqrt(float(yc @ yc))
+            if sx == 0.0 or sy == 0.0:
+                raise DegeneratePairError(
+                    f"rows ({data.row_ids[i]}, {data.row_ids[j]}) have zero "
+                    f"variance on their {overlap}-column overlap")
+            r = float(xc @ yc) / (sx * sy)
+            out[i, j] = out[j, i] = min(1.0, max(-1.0, r))
+    return out
+
+
+@st.composite
+def masked_panels(draw):
+    """Random masked rows with their own offset and scale, plus a min_overlap."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = rng.choice([-1.0, 1.0], size=(n, 1)) * 10.0 ** rng.uniform(-1, 3, size=(n, 1))
+    scale = 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+    vals = offset + scale * rng.normal(size=(n, d))
+    mask = rng.random((n, d)) >= draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    return DataMatrix(vals, mask), draw(st.integers(2, 4))
+
+
 class TestOverlapCorrelation:
+    @settings(max_examples=300)
+    @given(masked_panels())
+    def test_matches_per_pair_reference(self, case):
+        data, min_overlap = case
+        try:
+            ref = overlap_reference(data, min_overlap)
+        except InsufficientOverlapError as exc:
+            with pytest.raises(InsufficientOverlapError) as got:
+                pairwise_overlap_correlation(data, min_overlap)
+            assert str(got.value) == str(exc)
+            return
+        out = pairwise_overlap_correlation(data, min_overlap).values
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
+        assert np.array_equal(out, out.T) and np.all(np.diag(out) == 1.0)
+
+    @pytest.mark.parametrize("row", [[0.1, 0.1, 0.1, 5.0], [0.1, 0.1, 0.1, 0.1]],
+                             ids=["window", "row"])
+    def test_constant_window_rejected(self, row):
+        # 0.1 * 3 / 3 rounds to 0.10000000000000002, so a two-pass mean on
+        # this window leaves residuals of ~1e-17 rather than exact zeros
+        vals = np.array([row, [1.0, 2.0, 4.0, 0.0]])
+        mask = np.array([[True] * 4, [True, True, True, False]])
+        with pytest.raises(DegeneratePairError, match=r"rows \(a, b\).*3-column overlap"):
+            pairwise_overlap_correlation(DataMatrix(vals, mask, row_ids=["a", "b"]))
+
+    def test_short_window_far_from_row_mean(self):
+        # on two columns every Pearson r is +-1; row 0's window sits ~2000
+        # spreads from its row mean, where one-pass sums lose ~7 digits
+        vals = np.array([[1.0, 1.001, 40.0, -30.0], [2.0, 3.0, 0.0, 0.0]])
+        mask = np.array([[True] * 4, [True, True, False, False]])
+        out = pairwise_overlap_correlation(DataMatrix(vals, mask), min_overlap=2)
+        assert out.values[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_first_failing_pair_in_row_major_order(self):
+        # (1, 2) share no column, but (0, 3) comes first and is degenerate
+        vals = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                         [1.0, 3.0, 2.0, 5.0, 4.0, 6.0],
+                         [6.0, 1.0, 2.0, 3.0, 5.0, 4.0],
+                         [7.0] * 6])
+        mask = np.ones((4, 6), dtype=bool)
+        mask[1, 3:] = False
+        mask[2, :3] = False
+        with pytest.raises(DegeneratePairError, match=r"\(0, 3\)"):
+            pairwise_overlap_correlation(DataMatrix(vals, mask))
+        vals[3] = [1.0, 4.0, 2.0, 8.0, 5.0, 7.0]
+        with pytest.raises(InsufficientOverlapError, match=r"\(1, 2\) share only 0"):
+            pairwise_overlap_correlation(DataMatrix(vals, mask))
+
     def test_full_mask_equals_plain_pearson(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=(8, 12))
@@ -157,6 +248,24 @@ class TestMakePositiveDefinite:
         np.testing.assert_allclose(np.diag(out.values), 1.0, atol=1e-12)
         np.testing.assert_allclose(out.values, out.values.T, atol=1e-14)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_corrcoef_repaired(self, seed):
+        # N > D: corrcoef has rank < D, so N - D + 1 eigenvalues are ~0
+        rng = np.random.default_rng(seed)
+        a = np.corrcoef(rng.normal(size=(40, 12)))
+        out = make_positive_definite(CorrelationMatrix(a, "pearson"))
+        assert np.linalg.eigvalsh(out.values)[0] >= 1e-10
+        assert np.all(np.diag(out.values) == 1.0)
+        assert np.array_equal(out.values, out.values.T)
+        again = make_positive_definite(out)
+        assert np.array_equal(again.values, out.values)
+
+    def test_unreachable_eps_raises(self):
+        # a unit diagonal makes the trace N, so no eigenvalue floor above 1 holds
+        a = np.array([[1.0, 0.9], [0.9, 1.0]])
+        with pytest.raises(DomainError, match="smallest eigenvalue"):
+            make_positive_definite(CorrelationMatrix(a, "pearson"), eps=2.0)
+
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         b = rng.normal(size=(6, 6))
@@ -198,6 +307,48 @@ class TestEnvelopes:
         assert not p.exists()
         write_json({"values": [1.0, 0.5]}, p)
         assert p.read_text() == '{"values": [1.0, 0.5]}\n'
+
+    @pytest.mark.parametrize("kind", ["data", "pearson"])
+    @pytest.mark.parametrize("values, expect", [
+        ([[1.0, 0.5], [0.5]], r"values\[1\] has 1 cells, values\[0\] has 2"),
+        ([1.0, 0.5], r"values\[0\] is 1.0, not a list"),
+        ([], "non-empty list of rows"),
+        ([["x", 1.0], [1.0, 1.0]], "non-numeric cell"),
+    ], ids=["ragged", "flat", "empty", "string"])
+    def test_malformed_values_rejected(self, tmp_path, kind, values, expect):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"kind": kind, "row_ids": ["a", "b"],
+                                 "col_ids": ["a", "b"], "values": values}))
+        with pytest.raises(ParseError, match=expect):
+            load_envelope(p)
+
+    @pytest.mark.parametrize("kind", ["pearson", "denoised_rmt", "denoised_imn",
+                                      "similarity_from_distance"])
+    def test_diagonal_must_be_one(self, tmp_path, kind):
+        c = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0 + 1e-9]])
+        p = tmp_path / "c.json"
+        save_envelope(CorrelationMatrix(c, kind, row_ids=["a", "b", "c"]), p)
+        with pytest.raises(DomainError, match=r"diagonal entry \('c', 'c'\)"):
+            load_envelope(p)
+        c[2, 2] = 1.0 + 1e-13
+        save_envelope(CorrelationMatrix(c, kind, row_ids=["a", "b", "c"]), p)
+        assert load_envelope(p).values[2, 2] == 1.0 + 1e-13
+
+    @pytest.mark.parametrize("kind, bounded", [
+        ("pearson", True), ("denoised_rmt", True), ("similarity_from_distance", True),
+        ("denoised_imn", False)])
+    def test_entries_bounded_by_one(self, tmp_path, kind, bounded):
+        c = np.array([[1.0, -1.0 - 1e-9], [-1.0 - 1e-9, 1.0]])
+        p = tmp_path / "c.json"
+        save_envelope(CorrelationMatrix(c, kind, row_ids=["a", "b"]), p)
+        if bounded:
+            with pytest.raises(DomainError, match=r"\('a', 'b'\) is -1.000000001"):
+                load_envelope(p)
+        else:
+            assert load_envelope(p).values[0, 1] == -1.0 - 1e-9
+        c[0, 1] = c[1, 0] = -1.0 - 1e-13
+        save_envelope(CorrelationMatrix(c, kind, row_ids=["a", "b"]), p)
+        assert load_envelope(p).kind == kind
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

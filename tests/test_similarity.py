@@ -221,14 +221,3 @@ class TestStrengthMatrix:
         s1 = strength_matrix(g1)
         s2 = strength_matrix(g2)
         np.testing.assert_allclose(s1.j, s2.j, rtol=1e-12)
-
-    def test_round_trip_dict(self):
-        rng = np.random.default_rng(27)
-        x = rng.normal(size=(15, 2))
-        d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-        s = strength_matrix(mutual_knn_graph(d, k=3))
-        from spinclust.similarity import strength_graph_from_dict
-        back = strength_graph_from_dict(s.to_dict())
-        np.testing.assert_array_equal(back.graph.edge_i, s.graph.edge_i)
-        np.testing.assert_allclose(back.j, s.j)
-        assert back.h_max == pytest.approx(s.h_max)
