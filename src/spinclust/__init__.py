@@ -48,7 +48,6 @@ from .spc import (
     magnetization,
     run_temperature,
     spin_spin_correlation,
-    swendsen_wang_step,
     temperature_sweep,
 )
 from .thermo import bin_count, energy_histogram, entropy, free_energy, free_energy_curve
@@ -96,7 +95,6 @@ __all__ = [
     "similarity_from_distance",
     "spin_spin_correlation",
     "strength_matrix",
-    "swendsen_wang_step",
     "temperature_sweep",
     "wishart_bounds",
     "wishart_pdf",

@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 data/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -30,6 +29,7 @@ from .dataset import (
     make_positive_definite,
     log_returns,
     pairwise_overlap_correlation,
+    read_json,
     save_envelope,
     write_json,
 )
@@ -70,14 +70,6 @@ def _worker_count(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 
 def parse_trange(spec: str) -> list[float]:
@@ -129,7 +121,7 @@ def _write_labels(labels, path: str) -> None:
 
 def _read_labels(path: str) -> np.ndarray:
     if path.endswith(".json"):
-        doc = _read_json(path)
+        doc = read_json(path)
         if "best_labels" in doc:
             return np.asarray(doc["best_labels"], dtype=int)
         raise ParseError(f"{path}: no labels found in JSON document")
@@ -168,13 +160,22 @@ def cmd_generate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    """Stages in a fixed order: data transforms, --corr, --denoise, --pd.
+
+    A flag whose stage has nothing to act on is an error naming it.
+    """
     obj = _load_table(args.input, args.has_header)
+    data_flags = [flag for flag, on in (("--transpose", args.transpose),
+                                        ("--returns", args.returns), ("--scale", args.scale),
+                                        ("--order-rows", args.order_rows),
+                                        (f"--corr {args.corr}", args.corr != "none")) if on]
     if isinstance(obj, CorrelationMatrix):
-        data = None
-        corr = obj
+        if data_flags:
+            raise DomainError(f"{', '.join(data_flags)}: needs a data matrix, but "
+                              f"{args.input} is a correlation envelope")
+        data, corr = None, obj
     else:
-        data = obj
-        corr = None
+        data, corr = obj, None
         if args.transpose:
             data = data.transposed()
         if args.returns:
@@ -186,25 +187,32 @@ def cmd_preprocess(args) -> int:
             data = DataMatrix(data.values[order], data.mask[order],
                               row_ids=[data.row_ids[i] for i in order],
                               col_ids=list(data.col_ids))
+        if args.corr == "pearson":
+            corr = pairwise_overlap_correlation(data)
+        elif args.corr == "similarity":
+            corr = similarity_from_distance(euclidean_distances(data), row_ids=data.row_ids)
 
+    if args.rmt_upper_only and args.denoise != "rmt":
+        raise DomainError("--rmt-upper-only needs --denoise rmt")
     if args.denoise == "imn":
-        corr = imn_denoise(data if data is not None else corr,
+        corr = imn_denoise(data if corr is None else corr,
                            max_iters=args.imn_iters, tol=args.imn_tol)
     elif args.denoise == "rmt":
-        if data is None:
-            raise DomainError("rmt denoising needs a data matrix input")
+        if corr is not None:
+            source = f"--corr {args.corr}" if data is not None else "a correlation envelope input"
+            raise DomainError(f"--denoise rmt builds its correlation from the data matrix; "
+                              f"it cannot follow {source}")
         corr = rmt_denoise(data, upper_only=args.rmt_upper_only)
-    elif args.corr == "pearson":
-        corr = pairwise_overlap_correlation(data)
-    elif args.corr == "similarity":
-        corr = similarity_from_distance(euclidean_distances(data), row_ids=data.row_ids)
 
+    if args.pd:
+        if corr is None:
+            raise DomainError("--pd repairs a correlation matrix: add --corr or --denoise, "
+                              "or pass a correlation envelope")
+        corr = make_positive_definite(corr)
     if corr is None:
         save_envelope(data, args.output)
         print(f"wrote data envelope {args.output}")
         return 0
-    if args.pd:
-        corr = make_positive_definite(corr)
     save_envelope(corr, args.output)
     print(f"wrote {corr.kind} correlation envelope {args.output}")
     return 0
@@ -241,7 +249,7 @@ def cmd_fspc(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    sweep = sweep_from_json(_read_json(args.sweep))
+    sweep = sweep_from_json(read_json(args.sweep))
     report = phase_report(sweep)
     doc = report.to_dict()
     md = [report.to_markdown()]

@@ -131,17 +131,22 @@ def write_json(doc: dict, path) -> None:
         raise DomainError(f"{path}: not written, {exc}") from None
 
 
+def read_json(path):
+    """Parse the JSON file at ``path``; malformed JSON is a ParseError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from None
+
+
 def save_envelope(obj: DataMatrix | CorrelationMatrix, path) -> None:
     write_json(obj.to_envelope(), path)
 
 
 def load_envelope(path) -> DataMatrix | CorrelationMatrix:
     """Read a JSON envelope back into the matching container."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     for key in ("kind", "row_ids", "col_ids", "values"):
         if not isinstance(doc, dict) or key not in doc:
             raise ParseError(f"{path}: envelope missing field {key!r}")
@@ -187,8 +192,7 @@ def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
     """Reject a loaded correlation that breaks the envelope contract.
 
     Cells must be finite, the matrix symmetric and its diagonal 1 (both
-    within 1e-12), and |r| <= 1 + 1e-12 for every kind but ``denoised_imn``,
-    whose iterated row/column standardization does not bound its entries.
+    within 1e-12), and |r| <= 1 + 1e-12 for every kind.
     Checked here rather than in CorrelationMatrix, whose callers may build
     matrices (np.corrcoef) that are symmetric only to rounding.
     """
@@ -211,12 +215,11 @@ def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
         i = int(np.argmax(off))
         raise DomainError(f"{path}: diagonal entry ({ids[i]!r}, {ids[i]!r}) is "
                           f"{float(a[i, i])!r}, not 1")
-    if corr.kind != "denoised_imn":
-        big = np.abs(a) > 1.0 + _UNIT_TOL
-        if big.any():
-            i, j = np.argwhere(big)[0]
-            raise DomainError(f"{path}: {corr.kind} entry ({ids[i]!r}, {ids[j]!r}) is "
-                              f"{float(a[i, j])!r}, outside [-1, 1]")
+    big = np.abs(a) > 1.0 + _UNIT_TOL
+    if big.any():
+        i, j = np.argwhere(big)[0]
+        raise DomainError(f"{path}: {corr.kind} entry ({ids[i]!r}, {ids[j]!r}) is "
+                          f"{float(a[i, j])!r}, outside [-1, 1]")
 
 
 def load_matrix(path, has_header: bool = True) -> DataMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CorrelationMatrix, DataMatrix
+from .dataset import _UNIT_TOL, CorrelationMatrix, DataMatrix
 from .errors import DegenerateInputError, DegenerateSpectrumError, DomainError
 
 
@@ -118,7 +118,10 @@ def imn_denoise(data_or_cov: DataMatrix | CorrelationMatrix | np.ndarray,
 
     Iteration stops after ``max_iters`` passes or once every row and column
     has |mean| < tol and |std - 1| < tol. The result is symmetrized and
-    rescaled to unit diagonal.
+    rescaled to unit diagonal. A result entry outside [-1, 1] (beyond 1e-12)
+    is a DegenerateInputError naming the first such pair: the iteration
+    does not keep a rank-deficient or ill-conditioned covariance positive
+    semidefinite.
     """
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")
@@ -151,6 +154,14 @@ def imn_denoise(data_or_cov: DataMatrix | CorrelationMatrix | np.ndarray,
         raise DegenerateInputError("nonpositive diagonal after normalization")
     a = a / np.sqrt(np.outer(d, d))
     np.fill_diagonal(a, 1.0)
+    big = np.abs(a) > 1.0 + _UNIT_TOL
+    if big.any():
+        i, j = np.argwhere(big)[0]
+        names = row_ids or range(a.shape[0])
+        raise DegenerateInputError(
+            f"denoised entry ({names[i]!r}, {names[j]!r}) is {float(a[i, j])!r}, outside "
+            f"[-1, 1]: the standardized covariance is indefinite (rank-deficient or "
+            f"ill-conditioned input)")
     return CorrelationMatrix(a, "denoised_imn", row_ids=row_ids)
 
 

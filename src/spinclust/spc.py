@@ -16,9 +16,9 @@ from which the final clusters are read by thresholding at theta.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,21 +26,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError
 from .similarity import NeighborGraph, StrengthGraph
-
-
-@dataclass
-class SpinState:
-    """Spin values in [1, q] for every node."""
-
-    spins: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        self.spins = np.asarray(self.spins, dtype=np.int64)
-        if self.q < 2:
-            raise DomainError("q must be >= 2")
-        if self.spins.size and (self.spins.min() < 1 or self.spins.max() > self.q):
-            raise DomainError("spins must lie in [1, q]")
 
 
 @dataclass
@@ -116,15 +101,18 @@ def stats_from_record(rec: dict) -> TemperatureStats:
     )
 
 
-def bond_probability(j_ij: float, t: float, same_spin: bool) -> float:
-    """Activation probability of one bond: 1 - exp(-J/T) if spins agree, else 0."""
-    if t <= 0.0:
+def bond_probability(j, t) -> np.ndarray:
+    """Activation probability of a bond of strength J between aligned spins at T.
+
+    Elementwise over broadcasting arrays; bonds between unlike spins never
+    activate (the kernel masks them out).
+    """
+    j, t = np.asarray(j, dtype=float), np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise DomainError("temperature must be positive")
-    if j_ij < 0.0:
+    if np.any(j < 0.0):
         raise DomainError("bond strength must be nonnegative")
-    if not same_spin:
-        return 0.0
-    return 1.0 - math.exp(-j_ij / t)
+    return 1.0 - np.exp(-j / t)
 
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
@@ -182,35 +170,34 @@ def _sw_move(same: np.ndarray, p_edge: np.ndarray, rows: np.ndarray, cols: np.nd
     return cluster_spins[labels], labels
 
 
-def swendsen_wang_step(state: SpinState, strengths: StrengthGraph, t: float,
-                       rng: np.random.Generator) -> tuple[SpinState, np.ndarray]:
-    """Public single-step move on a SpinState; the kernel's move with one replica."""
-    if t <= 0.0:
-        raise DomainError("temperature must be positive")
-    g = strengths.graph
-    spins = state.spins[None, :]
-    rows, cols = _block_edges(g.edge_i, g.edge_j, g.n, 1)
-    p_edge = (1.0 - np.exp(-strengths.j / t))[None, :]
-    same = spins[:, g.edge_i] == spins[:, g.edge_j]
-    new_spins, labels = _sw_move(same, p_edge, rows, cols, g.n, state.q, [rng])
-    return SpinState(new_spins[0], state.q), labels[0].astype(np.int64)
+def magnetization(values: np.ndarray, q: int):
+    """Dominance of the most frequent value along the last axis of a 1-D or R x N array.
 
-
-def magnetization(labeling: np.ndarray, q: int) -> float:
-    """Dominance of the largest part: (q*N_max - N) / ((q-1)*N)."""
+    (q * N_max - N) / ((q - 1) * N), with N_max the largest value population;
+    ``values`` are nonnegative integers (spins or cluster labels).
+    """
     if q < 2:
         raise DomainError("q must be >= 2")
-    labeling = np.asarray(labeling)
-    n = labeling.size
-    n_max = int(np.bincount(labeling).max())
-    return (q * n_max - n) / ((q - 1) * n)
+    values = np.asarray(values)
+    n = values.shape[-1]
+    rows = values.reshape(-1, n)
+    width = int(rows.max()) + 1
+    shift = (width * np.arange(rows.shape[0]))[:, None]
+    counts = np.bincount((rows + shift).ravel(), minlength=rows.shape[0] * width)
+    n_max = counts.reshape(-1, width).max(axis=1)
+    return ((q * n_max - n) / ((q - 1.0) * n)).reshape(values.shape[:-1])[()]
 
 
-def hamiltonian(state: SpinState, strengths: StrengthGraph) -> float:
-    """Mean-field energy: (1/N) * sum of J over unsatisfied bonds."""
+def _energies(unsatisfied, j: np.ndarray, n: int) -> np.ndarray:
+    """Mean-field energy per row of an R x E unsatisfied-bond mask."""
+    return np.array([j[row].sum() / n for row in unsatisfied])
+
+
+def hamiltonian(spins: np.ndarray, strengths: StrengthGraph) -> float:
+    """Mean-field energy of one spin array: (1/N) * sum of J over unsatisfied bonds."""
     g = strengths.graph
-    diff = state.spins[g.edge_i] != state.spins[g.edge_j]
-    return float(strengths.j[diff].sum()) / g.n
+    spins = np.asarray(spins)
+    return float(_energies([spins[g.edge_i] != spins[g.edge_j]], strengths.j, g.n)[0])
 
 
 def spin_spin_correlation(two_point: np.ndarray, samples: int, q: int) -> np.ndarray:
@@ -260,8 +247,6 @@ def _run_block(strengths: StrengthGraph, temps: list[float], seeds: list, m_step
     co-membership counts of the bond clusters on every graph edge. A chain's
     results do not depend on which other chains share its block.
     """
-    if any(t <= 0.0 for t in temps):
-        raise DomainError("temperature must be positive")
     if not m_steps > burn_in >= 0:
         raise DomainError("need m_steps > burn_in >= 0")
     if q < 2:
@@ -273,29 +258,25 @@ def _run_block(strengths: StrengthGraph, temps: list[float], seeds: list, m_step
     r = len(temps)
     rngs = [np.random.default_rng(s) for s in seeds]
     rows, cols = _block_edges(ei, ej, n, r)
-    p_edge = np.stack([1.0 - np.exp(-jv / t) for t in temps])
+    p_edge = bond_probability(jv, np.asarray(temps)[:, None])
 
     spins = np.stack([rng.integers(1, q + 1, size=n) for rng in rngs])
     same = spins[:, ei] == spins[:, ej]
-    value_shift = ((q + 1) * np.arange(r))[:, None]
     samples = m_steps - burn_in
     co = np.zeros((r, ei.size), dtype=np.int64)
     m_sum = np.zeros(r)
     m2_sum = np.zeros(r)
     energies = np.empty((r, samples))
-    qn = (q - 1.0) * n
 
     for step in range(m_steps):
         spins, labels = _sw_move(same, p_edge, rows, cols, n, q, rngs)
         same = spins[:, ei] == spins[:, ej]
         if step < burn_in:
             continue
-        counts = np.bincount((spins + value_shift).ravel(), minlength=r * (q + 1))
-        m = (q * counts.reshape(r, q + 1).max(axis=1) - n) / qn
+        m = magnetization(spins, q)
         m_sum += m
         m2_sum += m * m
-        for k in range(r):
-            energies[k, step - burn_in] = jv[~same[k]].sum() / n
+        energies[:, step - burn_in] = _energies(~same, jv, n)
         co += labels[:, ei] == labels[:, ej]
 
     out = []
@@ -327,10 +308,6 @@ def run_temperature(strengths: StrengthGraph, t: float, m_steps: int = 2000,
     return _run_block(strengths, [float(t)], [seed], m_steps, burn_in, q, theta)[0]
 
 
-def _block_worker(args) -> list[TemperatureStats]:
-    return _run_block(*args)
-
-
 def temperature_sweep(strengths: StrengthGraph, grid, m_steps: int = 2000,
                       burn_in: int = 400, q: int = 20, theta: float = 0.5,
                       seed: int = 0, workers: int = 1) -> list[TemperatureStats]:
@@ -343,18 +320,18 @@ def temperature_sweep(strengths: StrengthGraph, grid, m_steps: int = 2000,
     grid = [float(t) for t in grid]
     if not grid:
         raise DomainError("temperature grid is empty")
-    if any(t <= 0.0 for t in grid):
-        raise DomainError("temperatures must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("temperature grid must be strictly increasing")
     seeds = [np.random.SeedSequence((seed, idx)) for idx in range(len(grid))]
     blocks = np.array_split(np.arange(len(grid)), max(1, min(workers, len(grid))))
-    tasks = [(strengths, [grid[i] for i in b], [seeds[i] for i in b], m_steps, burn_in,
-              q, theta) for b in blocks]
-    if len(tasks) == 1:
-        return _block_worker(tasks[0])
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        return [st for block in pool.map(_block_worker, tasks) for st in block]
+    if len(blocks) == 1:
+        return _run_block(strengths, grid, seeds, m_steps, burn_in, q, theta)
+    temps = [[grid[i] for i in b] for b in blocks]
+    block_seeds = [[seeds[i] for i in b] for b in blocks]
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        parts = pool.map(_run_block, repeat(strengths), temps, block_seeds, repeat(m_steps),
+                         repeat(burn_in), repeat(q), repeat(theta))
+        return [st for part in parts for st in part]
 
 
 def sweep_to_json(sweep: list[TemperatureStats], params: dict | None = None,

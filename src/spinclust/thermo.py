@@ -74,13 +74,8 @@ def entropy(probabilities) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def free_energy(histogram: EnergyHistogram, t: float) -> tuple[float, float]:
-    """Helmholtz free energy of the Boltzmann distribution over bin centers.
-
-    Returns (f_direct, f_partition): the U - T*S route and the -T ln Z
-    route. Weights are shifted by the minimum level so both stay finite at
-    small T.
-    """
+def _free_energy_terms(histogram: EnergyHistogram, t: float) -> tuple[float, float, float]:
+    """(f_direct, f_partition, S) of the Boltzmann distribution over the bin centers."""
     if t <= 0.0:
         raise DomainError("temperature must be positive")
     e = np.asarray(histogram.bin_centers, dtype=float)
@@ -90,9 +85,17 @@ def free_energy(histogram: EnergyHistogram, t: float) -> tuple[float, float]:
     p = w / z
     u = float((p * e).sum())
     s = entropy(p)
-    f_direct = u - t * s
-    f_partition = e0 - t * math.log(z)
-    return f_direct, f_partition
+    return u - t * s, e0 - t * math.log(z), s
+
+
+def free_energy(histogram: EnergyHistogram, t: float) -> tuple[float, float]:
+    """Helmholtz free energy of the Boltzmann distribution over bin centers.
+
+    Returns (f_direct, f_partition): the U - T*S route and the -T ln Z
+    route. Weights are shifted by the minimum level so both stay finite at
+    small T.
+    """
+    return _free_energy_terms(histogram, t)[:2]
 
 
 def free_energy_curve(sweep: list[TemperatureStats]) -> list[tuple[float, float, float, float]]:
@@ -102,9 +105,6 @@ def free_energy_curve(sweep: list[TemperatureStats]) -> list[tuple[float, float,
     out = []
     for st in sweep:
         hist = energy_histogram(st.energy_samples, st.h_max)
-        f_direct, _ = free_energy(hist, st.temperature)
-        e = hist.bin_centers
-        w = np.exp(-(e - e.min()) / st.temperature)
-        s = entropy(w / w.sum())
+        f_direct, _, s = _free_energy_terms(hist, st.temperature)
         out.append((st.temperature, f_direct, s, st.susceptibility))
     return out

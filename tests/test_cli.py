@@ -1,15 +1,51 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinclust.cli import main, parse_trange
-from spinclust.dataset import load_envelope
+from spinclust.cli import build_parser, main, parse_trange
+from spinclust.dataset import (
+    load_envelope,
+    load_matrix,
+    log_returns,
+    make_positive_definite,
+    pairwise_overlap_correlation,
+)
 from spinclust.errors import DomainError
+from spinclust.preprocess import imn_denoise
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def write_price_panel(path, seed=0, series=18, days=60, sectors=3, blank=0.05):
+    """Sector-factor price panel (rows are series) with blank cells after day 2."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(sectors, days))
+    returns = 0.01 * (0.6 * factors[np.arange(series) % sectors]
+                      + 0.8 * rng.normal(size=(series, days)))
+    prices = 100.0 * np.exp(np.cumsum(returns, axis=1))
+    holes = rng.random((series, days)) < blank
+    holes[:, :2] = False
+    assert holes.any()
+    lines = [",".join(f"d{j}" for j in range(days))]
+    lines += [",".join("" if gap else repr(float(v)) for v, gap in zip(row, gaps))
+              for row, gaps in zip(prices, holes)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def readme_commands():
+    """Every `spinclust ...` command in README's fenced blocks, as argv without the name."""
+    blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("spinclust ")]
 
 
 class TestParseTrange:
@@ -106,6 +142,53 @@ class TestPreprocess:
     def test_missing_file_exit_1(self, tmp_path):
         assert run("preprocess", "--input", str(tmp_path / "nope.csv"),
                    "--output", str(tmp_path / "x.json")) == 1
+
+    def test_stages_run_transforms_corr_denoise_pd(self, tmp_path):
+        # the flags' order on the command line does not matter; imn denoises
+        # the overlap Pearson matrix, so blank cells are no obstacle
+        src = tmp_path / "prices.csv"
+        write_price_panel(src)
+        out = tmp_path / "corr.json"
+        assert run("preprocess", "--input", str(src), "--pd", "--denoise", "imn",
+                   "--corr", "pearson", "--returns", "--output", str(out)) == 0
+        want = make_positive_definite(imn_denoise(
+            pairwise_overlap_correlation(log_returns(load_matrix(src)))))
+        got = load_envelope(out)
+        assert got.kind == "denoised_imn"
+        np.testing.assert_array_equal(got.values, want.values)
+
+    def test_rmt_after_corr_exit_1(self, tmp_path, capsys):
+        src = self.make_csv(tmp_path, n=16, dims=40)
+        out = tmp_path / "rmt.json"
+        assert run("preprocess", "--input", str(src), "--corr", "pearson",
+                   "--denoise", "rmt", "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "--denoise rmt" in err and "--corr pearson" in err
+        assert not out.exists()
+
+    def test_pd_without_correlation_exit_1(self, tmp_path, capsys):
+        src = self.make_csv(tmp_path)
+        out = tmp_path / "pd.json"
+        assert run("preprocess", "--input", str(src), "--scale", "--pd",
+                   "--output", str(out)) == 1
+        assert "--pd" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--returns"], "--returns"),
+        (["--corr", "similarity"], "--corr similarity"),
+        (["--denoise", "rmt"], "correlation envelope input"),
+        (["--denoise", "imn", "--rmt-upper-only"], "--rmt-upper-only"),
+    ], ids=["returns", "corr", "rmt", "upper_only"])
+    def test_flag_without_its_input_exit_1(self, tmp_path, capsys, flags, named):
+        src = self.make_csv(tmp_path)
+        sim = tmp_path / "sim.json"
+        assert run("preprocess", "--input", str(src), "--corr", "similarity",
+                   "--output", str(sim)) == 0
+        out = tmp_path / "out.json"
+        assert run("preprocess", "--input", str(sim), *flags, "--output", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +423,13 @@ class TestUsageErrors:
         assert expect in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub, flag", [("validate", "--sweep"), ("fspc", "--corr")])
+    def test_invalid_json_input_exit_1(self, sub, flag, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "spc_sweep", "records": [')
+        assert run(sub, flag, str(bad), "--output", str(tmp_path / "out")) == 1
+        assert "bad.json: invalid JSON" in capsys.readouterr().err
+
     def test_missing_required_flag_exit_2(self):
         assert run("fspc") == 2
 
@@ -358,3 +448,25 @@ class TestUsageErrors:
         run("preprocess", "--input", str(data), "--output", str(env))
         assert run("fspc", "--corr", str(env),
                    "--output", str(tmp_path / "r.json")) == 1
+
+
+class TestReadmeCommands:
+    def test_every_command_parses(self):
+        commands = readme_commands()
+        assert len(commands) >= 9  # six walkthrough steps, three price-panel steps
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: spinclust {shlex.join(argv)}")
+
+    def test_price_panel_preprocess_then_fspc(self, tmp_path, monkeypatch):
+        commands = readme_commands()
+        preprocess = next(a for a in commands if a[0] == "preprocess" and "prices.csv" in a)
+        fspc = next(a for a in commands if a[0] == "fspc" and "corr.json" in a)
+        monkeypatch.chdir(tmp_path)
+        write_price_panel("prices.csv")
+        assert main(preprocess) == 0
+        assert main(fspc) == 0
+        assert json.loads(Path("result.json").read_text())["best_labels"]

@@ -14,6 +14,7 @@ from spinclust.dataset import (
     log_returns,
     make_positive_definite,
     pairwise_overlap_correlation,
+    read_json,
     save_envelope,
     write_json,
 )
@@ -336,7 +337,7 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("kind, bounded", [
         ("pearson", True), ("denoised_rmt", True), ("similarity_from_distance", True),
-        ("denoised_imn", False)])
+        ("denoised_imn", True)])
     def test_entries_bounded_by_one(self, tmp_path, kind, bounded):
         c = np.array([[1.0, -1.0 - 1e-9], [-1.0 - 1e-9, 1.0]])
         p = tmp_path / "c.json"
@@ -349,6 +350,14 @@ class TestEnvelopes:
         c[0, 1] = c[1, 0] = -1.0 - 1e-13
         save_envelope(CorrelationMatrix(c, kind, row_ids=["a", "b"]), p)
         assert load_envelope(p).kind == kind
+
+    def test_invalid_json_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"kind": "data",')
+        with pytest.raises(ParseError, match="bad.json: invalid JSON"):
+            read_json(p)
+        with pytest.raises(ParseError, match="bad.json: invalid JSON"):
+            load_envelope(p)
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclust.dataset import CorrelationMatrix, DataMatrix
 from spinclust.errors import DegenerateInputError, DegenerateSpectrumError, DomainError
@@ -220,3 +222,24 @@ class TestImnDenoise:
         cov = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateInputError):
             imn_denoise(cov, max_iters=5, tol=0.0)
+
+    def test_entry_outside_unit_interval_rejected(self):
+        # 9 rows over 4 columns: the covariance has rank 3, and the iterated
+        # standardization leaves it indefinite
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(9, 4)) * rng.uniform(0.1, 10.0, size=(9, 1))
+        dm = DataMatrix(x, None, row_ids=[f"s{i}" for i in range(9)])
+        with pytest.raises(DegenerateInputError,
+                           match=r"entry \('s0', 's3'\) is 1.11.*outside \[-1, 1\]"):
+            imn_denoise(dm)
+
+    @settings(max_examples=300)
+    @given(st.integers(3, 11), st.integers(3, 11), st.integers(0, 2**32 - 1))
+    def test_result_bounded_by_one_or_rejected(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        try:
+            out = imn_denoise(DataMatrix(x, None))
+        except DegenerateInputError:
+            return
+        assert np.abs(out.values).max() <= 1.0 + 1e-12

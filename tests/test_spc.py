@@ -13,9 +13,9 @@ from spinclust.evaluation import generate_blobs
 from spinclust.similarity import euclidean_distances, mutual_knn_graph, strength_matrix
 from spinclust.spc import (
     BondConfiguration,
-    SpinState,
     _block_edges,
     _components,
+    _sw_move,
     bond_probability,
     extended_hoshen_kopelman,
     extract_clusters,
@@ -23,7 +23,6 @@ from spinclust.spc import (
     magnetization,
     run_temperature,
     spin_spin_correlation,
-    swendsen_wang_step,
     sweep_from_json,
     sweep_to_json,
     temperature_sweep,
@@ -70,21 +69,55 @@ def small_strength_graph(n=30, seed=0, k=3):
     return strength_matrix(g, d)
 
 
+def sw_step(spins, strengths, t, q, rng):
+    """One Swendsen-Wang move of a single replica through the kernel's move."""
+    g = strengths.graph
+    spins = np.asarray(spins)[None, :]
+    rows, cols = _block_edges(g.edge_i, g.edge_j, g.n, 1)
+    same = spins[:, g.edge_i] == spins[:, g.edge_j]
+    p_edge = bond_probability(strengths.j, t)[None, :]
+    new_spins, labels = _sw_move(same, p_edge, rows, cols, g.n, q, [rng])
+    return new_spins[0], labels[0]
+
+
 class TestBondProbability:
     def test_different_spins_zero(self):
-        assert bond_probability(5.0, 0.3, same_spin=False) == 0.0
+        # no bond between unlike spins is ever active: every Swendsen-Wang
+        # cluster carries one old spin value, and at saturated bond
+        # probability the clusters are exactly the same-spin components
+        s = small_strength_graph(n=40, seed=33, k=4)
+        ei, ej = s.graph.edge_i, s.graph.edge_j
+        rng = np.random.default_rng(34)
+        for t in (1e-9, 0.05, 0.5):
+            spins = rng.integers(1, 4, size=s.n)
+            _, labels = sw_step(spins, s, t, 3, rng)
+            assert all(np.unique(spins[labels == c]).size == 1 for c in np.unique(labels))
+        same = spins[ei] == spins[ej]
+        _, labels = sw_step(spins, s, 1e-9, 3, rng)
+        want = bfs_components(s.n, zip(ei[same].tolist(), ej[same].tolist()))
+        np.testing.assert_array_equal(labels, want)
 
     def test_half_at_log_two(self):
-        assert bond_probability(math.log(2.0), 1.0, True) == pytest.approx(0.5, abs=1e-15)
+        assert bond_probability(math.log(2.0), 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_saturates_at_one(self):
-        assert bond_probability(1.0, 1e-12, True) == pytest.approx(1.0)
+        assert bond_probability(1.0, 1e-12) == pytest.approx(1.0)
 
     def test_bad_temperature(self):
-        with pytest.raises(DomainError):
-            bond_probability(1.0, 0.0, True)
-        with pytest.raises(DomainError):
-            bond_probability(1.0, -1.0, True)
+        with pytest.raises(DomainError, match="temperature"):
+            bond_probability(1.0, 0.0)
+        with pytest.raises(DomainError, match="temperature"):
+            bond_probability([1.0, 2.0], [[0.5], [-1.0]])
+        with pytest.raises(DomainError, match="bond strength"):
+            bond_probability([1.0, -0.1], 0.5)
+
+    def test_broadcasts_over_temperatures(self):
+        j = np.array([0.0, 0.5, 2.0])
+        t = np.array([0.1, 1.0])
+        p = bond_probability(j, t[:, None])
+        assert p.shape == (2, 3)
+        for row, tk in zip(p, t):
+            np.testing.assert_array_equal(row, [bond_probability(x, tk) for x in j])
 
 
 class TestExtendedHoshenKopelman:
@@ -152,29 +185,26 @@ class TestBlockLabeler:
 class TestSwendsenWangStep:
     def test_hot_limit_all_singletons(self):
         s = small_strength_graph()
-        state = SpinState(np.ones(30, dtype=int), q=20)
-        _, labels = swendsen_wang_step(state, s, t=1e9, rng=np.random.default_rng(0))
+        _, labels = sw_step(np.ones(30, dtype=int), s, 1e9, 20, np.random.default_rng(0))
         assert labels.max() == 29
 
     def test_cold_limit_single_cluster(self):
         s = small_strength_graph()
-        state = SpinState(np.full(30, 7), q=20)
-        _, labels = swendsen_wang_step(state, s, t=1e-9, rng=np.random.default_rng(0))
+        _, labels = sw_step(np.full(30, 7), s, 1e-9, 20, np.random.default_rng(0))
         assert labels.max() == 0
 
     def test_deterministic_under_seed(self):
         s = small_strength_graph()
-        state = SpinState(np.ones(30, dtype=int), q=20)
-        out1, lab1 = swendsen_wang_step(state, s, 0.05, np.random.default_rng(42))
-        out2, lab2 = swendsen_wang_step(state, s, 0.05, np.random.default_rng(42))
-        np.testing.assert_array_equal(out1.spins, out2.spins)
+        spins = np.ones(30, dtype=int)
+        out1, lab1 = sw_step(spins, s, 0.05, 20, np.random.default_rng(42))
+        out2, lab2 = sw_step(spins, s, 0.05, 20, np.random.default_rng(42))
+        np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(lab1, lab2)
 
     def test_new_spins_in_range(self):
         s = small_strength_graph()
-        state = SpinState(np.ones(30, dtype=int), q=5)
-        out, _ = swendsen_wang_step(state, s, 0.1, np.random.default_rng(1))
-        assert out.spins.min() >= 1 and out.spins.max() <= 5
+        out, _ = sw_step(np.ones(30, dtype=int), s, 0.1, 5, np.random.default_rng(1))
+        assert out.min() >= 1 and out.max() <= 5
 
 
 class TestMagnetization:
@@ -189,11 +219,21 @@ class TestMagnetization:
         labels = np.array([0] * 50 + list(range(1, 51)))  # N=100, N_max=50
         assert magnetization(labels, q=20) == pytest.approx(900 / 1900, abs=1e-15)
 
+    def test_rows_of_replicas(self):
+        rng = np.random.default_rng(35)
+        spins = rng.integers(1, 21, size=(6, 40))
+        spins[2] = 4  # one ordered replica
+        m = magnetization(spins, q=20)
+        assert m.shape == (6,) and m[2] == 1.0
+        np.testing.assert_array_equal(m, [magnetization(row, q=20) for row in spins])
+        with pytest.raises(DomainError, match="q must"):
+            magnetization(spins, q=1)
+
 
 class TestHamiltonian:
     def test_aligned_is_zero(self):
         s = small_strength_graph()
-        assert hamiltonian(SpinState(np.full(30, 3), q=20), s) == 0.0
+        assert hamiltonian(np.full(30, 3), s) == 0.0
 
     def test_triangle_hand_value(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.9]])
@@ -201,16 +241,14 @@ class TestHamiltonian:
         g = mutual_knn_graph(d, k=2)
         s = strength_matrix(g, d)
         s.j[:] = 0.3  # uniform bonds on the triangle
-        st = SpinState(np.array([1, 1, 2]), q=20)
         # edges (0,2) and (1,2) unsatisfied -> (0.3 + 0.3) / 3
-        assert hamiltonian(st, s) == pytest.approx(0.2, abs=1e-15)
+        assert hamiltonian(np.array([1, 1, 2]), s) == pytest.approx(0.2, abs=1e-15)
 
     def test_bounded_by_h_max(self):
         s = small_strength_graph(seed=3)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            st = SpinState(rng.integers(1, 21, size=30), q=20)
-            h = hamiltonian(st, s)
+            h = hamiltonian(rng.integers(1, 21, size=30), s)
             assert 0.0 <= h <= s.h_max + 1e-12
 
 
@@ -345,17 +383,19 @@ class TestRunTemperature:
         q, t, m_steps, burn_in = 20, 0.06, 120, 30
         st = run_temperature(s, t, m_steps=m_steps, burn_in=burn_in, q=q, seed=26)
         rng = np.random.default_rng(26)
-        state = SpinState(rng.integers(1, q + 1, size=s.n), q=q)
+        spins = rng.integers(1, q + 1, size=s.n)
         two_point = np.zeros((s.n, s.n), dtype=np.int64)
-        energies = []
+        energies, mags = [], []
         for step in range(m_steps):
-            state, labels = swendsen_wang_step(state, s, t, rng)
+            spins, labels = sw_step(spins, s, t, q, rng)
             if step >= burn_in:
                 two_point += labels[:, None] == labels[None, :]
-                energies.append(hamiltonian(state, s))
+                energies.append(hamiltonian(spins, s))
+                mags.append(magnetization(spins, q))
         full = spin_spin_correlation(two_point, m_steps - burn_in, q)
         np.testing.assert_array_equal(st.edge_g, full[s.graph.edge_i, s.graph.edge_j])
         np.testing.assert_array_equal(st.energy_samples, energies)
+        assert st.mean_magnetization == sum(mags) / len(mags)
 
     def test_deterministic_bit_for_bit(self):
         s = small_strength_graph(n=30, seed=13, k=3)
@@ -395,6 +435,8 @@ class TestTemperatureSweep:
             temperature_sweep(s, [0.2, 0.1])
         with pytest.raises(DomainError):
             temperature_sweep(s, [-0.1, 0.2])
+        with pytest.raises(DomainError, match="temperature must be positive"):
+            temperature_sweep(s, [-0.1, 0.2], m_steps=20, burn_in=5, workers=2)
 
     def test_susceptibility_low_at_both_grid_ends(self):
         # uniform ring: clean ordered phase at the cold end, disorder at the hot end

@@ -191,6 +191,14 @@ class TestFreeEnergyCurve:
             f_direct, f_partition = free_energy(h, st.temperature)
             assert abs(f_direct - f_partition) < 1e-9 * max(1.0, abs(f_partition))
 
+    def test_columns_are_free_energy_and_boltzmann_entropy(self):
+        sweep = self.make_sweep()
+        for (t, f, s, _), st in zip(free_energy_curve(sweep), sweep):
+            h = energy_histogram(st.energy_samples, st.h_max)
+            w = np.exp(-(h.bin_centers - h.bin_centers.min()) / t)
+            assert f == free_energy(h, t)[0]
+            assert s == entropy(w / w.sum())
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(DomainError):
             free_energy_curve([])
