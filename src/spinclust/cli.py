@@ -194,9 +194,13 @@ def cmd_preprocess(args) -> int:
 
     if args.rmt_upper_only and args.denoise != "rmt":
         raise DomainError("--rmt-upper-only needs --denoise rmt")
+    imn_options = {key: value for key, value in (("max_iters", args.imn_iters),
+                                                 ("tol", args.imn_tol)) if value is not None}
+    if imn_options and args.denoise != "imn":
+        flag = "--imn-iters" if args.imn_iters is not None else "--imn-tol"
+        raise DomainError(f"{flag} needs --denoise imn")
     if args.denoise == "imn":
-        corr = imn_denoise(data if corr is None else corr,
-                           max_iters=args.imn_iters, tol=args.imn_tol)
+        corr = imn_denoise(data if corr is None else corr, **imn_options)
     elif args.denoise == "rmt":
         if corr is not None:
             source = f"--corr {args.corr}" if data is not None else "a correlation envelope input"
@@ -338,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", choices=["none", "pearson", "similarity"], default="none")
     p.add_argument("--pd", action="store_true", help="repair to positive definite")
     p.add_argument("--denoise", choices=["none", "imn", "rmt"], default="none")
-    p.add_argument("--imn-iters", type=int, default=500)
-    p.add_argument("--imn-tol", type=float, default=1e-8)
+    p.add_argument("--imn-iters", type=int, default=None,
+                   help="--denoise imn: iteration cap (default 500)")
+    p.add_argument("--imn-tol", type=float, default=None,
+                   help="--denoise imn: convergence tolerance (default 1e-8)")
     p.add_argument("--rmt-upper-only", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_preprocess)

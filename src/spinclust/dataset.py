@@ -120,12 +120,24 @@ class CorrelationMatrix:
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` as strict JSON plus a newline; NaN or infinity is a DomainError.
 
-    A file the error cut short is removed, so no invalid JSON is left behind.
+    The text is ``json.dump``'s, encoded by ``json.dumps`` (the C encoder)
+    one top-level value, or one item of a top-level list, at a time, so
+    memory holds one item's text. A file the error cut short is removed,
+    so no invalid JSON is left behind.
     """
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, allow_nan=False)
-            fh.write("\n")
+            fh.write("{")
+            for i, (key, value) in enumerate(doc.items()):
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                if isinstance(value, (list, tuple)):
+                    fh.write("[")
+                    for j, item in enumerate(value):
+                        fh.write(f"{', ' if j else ''}{json.dumps(item, allow_nan=False)}")
+                    fh.write("]")
+                else:
+                    fh.write(json.dumps(value, allow_nan=False))
+            fh.write("}\n")
     except ValueError as exc:
         os.remove(path)
         raise DomainError(f"{path}: not written, {exc}") from None

@@ -130,6 +130,14 @@ class TestPreprocess:
                    "--output", str(out)) == 0
         assert load_envelope(out).kind == "denoised_imn"
 
+    def test_imn_options_reach_the_denoiser(self, tmp_path):
+        src = self.make_csv(tmp_path, n=16, dims=40)
+        out = tmp_path / "imn.json"
+        assert run("preprocess", "--input", str(src), "--denoise", "imn",
+                   "--imn-iters", "1000", "--imn-tol", "1e-10", "--output", str(out)) == 0
+        want = imn_denoise(load_matrix(src), max_iters=1000, tol=1e-10)
+        np.testing.assert_array_equal(load_envelope(out).values, want.values)
+
     def test_order_rows_keeps_ids(self, tmp_path):
         src = self.make_csv(tmp_path)
         out = tmp_path / "ordered.json"
@@ -164,6 +172,18 @@ class TestPreprocess:
                    "--denoise", "rmt", "--output", str(out)) == 1
         err = capsys.readouterr().err
         assert "--denoise rmt" in err and "--corr pearson" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--imn-iters", "5"], "--imn-iters"),
+        (["--imn-tol", "1e-6"], "--imn-tol"),
+        (["--denoise", "rmt", "--imn-tol", "1e-6"], "--imn-tol"),
+    ], ids=["iters", "tol", "tol_with_rmt"])
+    def test_imn_option_without_imn_exit_1(self, tmp_path, capsys, flags, named):
+        src = self.make_csv(tmp_path, n=16, dims=40)
+        out = tmp_path / "out.json"
+        assert run("preprocess", "--input", str(src), *flags, "--output", str(out)) == 1
+        assert f"{named} needs --denoise imn" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pd_without_correlation_exit_1(self, tmp_path, capsys):

@@ -309,6 +309,17 @@ class TestEnvelopes:
         write_json({"values": [1.0, 0.5]}, p)
         assert p.read_text() == '{"values": [1.0, 0.5]}\n'
 
+    def test_write_json_text_is_json_dump(self, tmp_path):
+        doc = {"kind": "x", "empty": [], "pair": (1, 2.5), "n": 3, "none": None,
+               "name": "caf\u00e9 \"q\"", "nested": {"a": [1, {"b": [0.1, -2e-300]}]},
+               "rows": [[0.1, 1e300], {"labels": [0, 1]}, "s", 7, True]}
+        p = tmp_path / "doc.json"
+        write_json(doc, p)
+        assert p.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+        with pytest.raises(DomainError, match="doc.json"):
+            write_json({"ok": 1.0, "rows": [[1.0], [float("inf")]]}, p)
+        assert not p.exists()
+
     @pytest.mark.parametrize("kind", ["data", "pearson"])
     @pytest.mark.parametrize("values, expect", [
         ([[1.0, 0.5], [0.5]], r"values\[1\] has 1 cells, values\[0\] has 2"),

@@ -1,14 +1,21 @@
+import hashlib
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinclust.dataset import CorrelationMatrix
 from spinclust.errors import DegenerateClusterError, DomainError
 from spinclust.evaluation import adjusted_rand_index
 from spinclust.fspc import (
     MUTATION_KINDS,
+    _cluster_sums,
+    _gather_limit,
+    _kmeans_from_sums,
+    _lc_from_sums,
     cluster_stats,
     ga_run,
     kmeans_hamiltonian,
@@ -42,6 +49,50 @@ def lc_by_hand(labels, c):
     return 0.5 * total
 
 
+def sequentialize_reference(labels):
+    """First-visit relabeling of one row through np.unique, kept as the oracle."""
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+    return rank[inv]
+
+
+def cluster_sums_reference(labels, corr):
+    """Sizes and intra-cluster sums by a loop over clusters, kept as the oracle."""
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    starts = np.r_[0, np.flatnonzero(np.diff(sorted_labels)) + 1]
+    ends = np.r_[starts[1:], labels.size]
+    sizes = (ends - starts).astype(np.int64)
+    sums = np.empty(sizes.size, dtype=float)
+    for k in range(sizes.size):
+        idx = order[starts[k]:ends[k]]
+        sums[k] = corr[np.ix_(idx, idx)].sum()
+    return sizes, sums
+
+
+LABELING_SHAPES = ("random", "few", "singletons", "giant", "edge")
+
+
+def make_labeling(rng, n, shape):
+    """A sequential labeling of n nodes; "edge" has clusters of t and t + 1 members."""
+    if shape == "random":
+        labels = rng.integers(0, n, size=n)
+    elif shape == "few":
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+    elif shape == "singletons":
+        labels = rng.permutation(n)
+    elif shape == "giant":
+        labels = np.zeros(n, dtype=np.int64)
+    else:
+        t = _gather_limit(n)
+        labels = rng.integers(2, 6, size=n)
+        labels[:t] = 0
+        labels[t:2 * t + 1] = 1
+        labels = rng.permutation(labels)
+    return sequentialize(labels)
+
+
 class TestSequentialize:
     def test_first_visit_order(self):
         np.testing.assert_array_equal(sequentialize([5, 5, 2, 7, 2]), [0, 0, 1, 2, 1])
@@ -49,6 +100,58 @@ class TestSequentialize:
     def test_already_sequential_unchanged(self):
         labels = np.array([0, 1, 1, 2, 0])
         np.testing.assert_array_equal(sequentialize(labels), labels)
+
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_batch_equals_rows(self, p, n, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(-3, int(rng.integers(-2, 3 * n)), size=(p, n))
+        out = sequentialize(labels)
+        assert out.shape == (p, n) and out.dtype == np.int64
+        for row, got in zip(labels, out):
+            np.testing.assert_array_equal(got, sequentialize_reference(row))
+            np.testing.assert_array_equal(got, sequentialize(row))
+
+
+class TestClusterSums:
+    @given(st.integers(2, 90), st.lists(st.sampled_from(LABELING_SHAPES), min_size=1,
+                                        max_size=5), st.integers(0, 2**32 - 1))
+    def test_batch_matches_reference_and_rows_alone(self, n, shapes, seed):
+        rng = np.random.default_rng(seed)
+        corr = np.corrcoef(rng.normal(size=(n, 3 * n)))
+        batch = np.stack([make_labeling(rng, n, shape) for shape in shapes])
+        sizes, sums = _cluster_sums(batch, corr)
+        lcs, kms = _lc_from_sums(sizes, sums), _kmeans_from_sums(sizes, sums)
+        for p, labels in enumerate(batch):
+            ref_sizes, ref_sums = cluster_sums_reference(labels, corr)
+            k = ref_sizes.size
+            np.testing.assert_array_equal(sizes[p, :k], ref_sizes)
+            np.testing.assert_allclose(sums[p, :k], ref_sums, rtol=1e-12, atol=0)
+            gathered = ref_sizes <= _gather_limit(n)  # summed as the oracle sums
+            np.testing.assert_array_equal(sums[p, :k][gathered], ref_sums[gathered])
+            assert not sizes[p, k:].any() and not sums[p, k:].any()
+            # the same labeling scored alone gives the same bits
+            alone_sizes, alone_sums = _cluster_sums(labels, corr)
+            np.testing.assert_array_equal(alone_sizes, sizes[p, :k])
+            np.testing.assert_array_equal(alone_sums, sums[p, :k])
+            assert _lc_from_sums(alone_sizes, alone_sums) == lcs[p]
+            assert _kmeans_from_sums(alone_sizes, alone_sums) == kms[p]
+
+    def test_population_rows_score_as_alone(self):
+        # a GA-like batch: condensed, fragmented and mixed labelings with 0 to
+        # 7 clusters above the gather limit, at N where the limit is N // 8
+        rng = np.random.default_rng(70)
+        n = 120
+        corr = CorrelationMatrix(np.corrcoef(rng.normal(size=(n, 300))), "pearson")
+        rows = [make_labeling(rng, n, LABELING_SHAPES[i % 5]) for i in range(40)]
+        for width in range(8):  # width clusters of 16 members (the limit is 15), singletons
+            labels = np.r_[np.repeat(np.arange(width), 16), np.arange(width, n - 15 * width)]
+            rows.append(sequentialize(rng.permutation(labels)))
+        batch = np.stack(rows)
+        widths = {int((np.bincount(row) > _gather_limit(n)).sum()) for row in batch}
+        assert widths == set(range(8))
+        scores = _lc_from_sums(*_cluster_sums(batch, np.asarray(corr.values)))
+        for labels, score in zip(batch, scores):
+            assert likelihood(labels, corr) == score
 
 
 class TestClusterStats:
@@ -208,6 +311,33 @@ class TestMutate:
         with pytest.raises(DomainError):
             mutate(np.zeros(3, dtype=int), "invert", np.random.default_rng(0))
 
+    # SHA-256 of 60 seeded mutate outputs per kind, recorded from the
+    # per-child implementation that relabeled with np.unique
+    GOLDEN = {
+        "new": "afaf9ca48b965237e3735f0096d0b12ea77aca3b21ec4b72a9faa5f6d2caf607",
+        "split": "d871b55223b4cb9f3852138da31eef5816f9b3ca47cd528b6495aaae703c6213",
+        "merge": "adc5b992bce20cbf39b0f883b0f5af6d908cec4c1665b5390ed79fb607257d24",
+        "swap": "b56d1495a600479e5a33d7133c3c74d57f8ce21bf1135e25a002c5f833e713de",
+        "scramble": "7d00029f853f978d3c3fa59fde5fd0872bb678896dbb99c413fe6039e8f48504",
+        "flip": "4c54bbc45fa0964c7601272605cdfe6dfba6306da6675fcd135daae9120174ee",
+    }
+
+    @pytest.mark.parametrize("kind", MUTATION_KINDS)
+    def test_golden_outputs(self, kind):
+        h = hashlib.sha256()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 30))
+            if seed % 3 == 0:  # unsequential input labels
+                labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n) * 3 + 5
+            elif seed % 3 == 1:
+                labels = np.arange(n)[::-1]
+            else:
+                labels = np.full(n, 4)
+            out = mutate(labels, kind, rng)
+            h.update(out.astype(np.int64).tobytes() + b"|")
+        assert h.hexdigest() == self.GOLDEN[kind]
+
 
 def planted_two_block_corr(n=20, rho=0.8):
     c = np.zeros((n, n))
@@ -241,6 +371,35 @@ class TestGaRun:
         best = max(likelihood(sequentialize(rng.integers(0, 20, size=20)), corr)
                    for _ in range(100_000))
         assert best < target
+
+    @pytest.mark.parametrize("objective, score", [("lc", likelihood),
+                                                  ("kmeans", kmeans_hamiltonian)])
+    def test_fitness_is_exact_score_of_best(self, objective, score):
+        rng = np.random.default_rng(71)
+        corr = CorrelationMatrix(np.corrcoef(rng.normal(size=(60, 150))), "pearson")
+        res = ga_run(corr, pop_size=30, max_generations=150, stall_generations=150,
+                     seed=72, objective=objective)
+        assert res.fitness == score(res.best_labels, corr)
+        assert res.history[-1] == res.fitness
+
+    def test_operator_diagnostics(self):
+        rng = np.random.default_rng(73)
+        corr = CorrelationMatrix(np.corrcoef(rng.normal(size=(30, 90))), "pearson")
+        res = ga_run(corr, pop_size=20, max_generations=2000, stall_generations=40, seed=74)
+        doc = res.to_dict()
+        assert list(doc["operators"]) == list(MUTATION_KINDS)
+        survivors = sum(v["survivors"] for v in doc["operators"].values())
+        new_bests = sum(v["new_bests"] for v in doc["operators"].values())
+        assert 0 < survivors <= 20 * res.generations_run
+        # each generation raises the best at most once, by a child
+        raises = sum(b > a for a, b in zip(res.history, res.history[1:]))
+        assert raises <= new_bests <= raises + 1
+        last = doc["last_improvement"]
+        assert last == res.generations_run - 40  # the stall ended the run
+        assert res.history[last - 1] == res.fitness
+        assert last == 1 or res.history[last - 2] < res.fitness
+        again = ga_run(corr, pop_size=20, max_generations=2000, stall_generations=40, seed=74)
+        assert again.to_dict() == doc
 
     def test_history_nondecreasing(self):
         rng = np.random.default_rng(54)
