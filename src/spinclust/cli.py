@@ -100,42 +100,44 @@ def _load_table(path: str, has_header: bool) -> DataMatrix | CorrelationMatrix:
     return load_matrix(path, has_header=has_header)
 
 
-def _distances_from_input(obj: DataMatrix | CorrelationMatrix) -> tuple[np.ndarray, list[str]]:
-    """Distance matrix for graph construction, from data or a correlation."""
+def _distances_from_input(obj: DataMatrix | CorrelationMatrix) -> np.ndarray:
+    """Distance matrix for graph construction, from data or a correlation envelope."""
     if isinstance(obj, DataMatrix):
-        return euclidean_distances(obj), list(obj.row_ids)
-    if obj.kind == "similarity_from_distance":
-        # inverse of the construction up to the lost global scale; strengths
-        # are invariant under that scale
-        d = 1.0 - obj.values
-        np.fill_diagonal(d, 0.0)
-        return np.maximum(d, 0.0), list(obj.row_ids)
-    return correlation_to_distance(obj), list(obj.row_ids)
-
-
-def _write_labels(labels, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
+        return euclidean_distances(obj)
+    return correlation_to_distance(obj)
 
 
 def _read_labels(path: str) -> np.ndarray:
+    """Labels from a one-per-line CSV or an fspc result's ``best_labels``.
+
+    Each label must be a finite number equal to an integer that fits int64;
+    anything else is a ParseError naming the CSV line or the JSON index.
+    """
     if path.endswith(".json"):
         doc = read_json(path)
-        if "best_labels" in doc:
-            return np.asarray(doc["best_labels"], dtype=int)
-        raise ParseError(f"{path}: no labels found in JSON document")
+        labels = doc.get("best_labels") if isinstance(doc, dict) else None
+        if not isinstance(labels, list):
+            raise ParseError(f"{path}: no labels found in JSON document")
+        entries = [(f"at best_labels[{k}]", value) for k, value in enumerate(labels)]
+    else:
+        entries = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                text = line.strip()
+                if text:
+                    try:  # digits alone parse as int: no rounding above 2**53
+                        value = int(text) if text.lstrip("+-").isdigit() else float(text)
+                    except ValueError:
+                        value = text
+                    entries.append((f"on line {line_no}", value))
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(int(float(line)))
-            except ValueError:
-                raise ParseError(f"{path}: bad label on line {line_no}: {line!r}") from None
-    return np.asarray(out, dtype=int)
+    for where, value in entries:
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int or not -2**63 <= value < 2**63:
+            raise ParseError(f"{path}: bad label {where}: {value!r} is not an int64 integer")
+        out.append(value)
+    return np.asarray(out, dtype=np.int64)
 
 
 def cmd_generate(args) -> int:
@@ -154,7 +156,8 @@ def cmd_generate(args) -> int:
         for row in data.values:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     labels_path = args.labels or (args.output + ".labels.csv")
-    _write_labels(labels, labels_path)
+    with open(labels_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{int(lab)}\n" for lab in labels)
     print(f"wrote {args.output} ({data.n_rows} x {data.n_cols}) and {labels_path}")
     return 0
 
@@ -224,9 +227,9 @@ def cmd_preprocess(args) -> int:
 
 def cmd_spc(args) -> int:
     obj = _load_table(args.input, args.has_header)
-    dist, _ = _distances_from_input(obj)
+    dist = _distances_from_input(obj)
     graph = mutual_knn_graph(dist, k=args.k)
-    strengths = strength_matrix(graph, dist)
+    strengths = strength_matrix(graph)
     grid = parse_trange(args.t)
     sweep = temperature_sweep(strengths, grid, m_steps=args.steps,
                               burn_in=args.burn_in, q=args.q, theta=args.theta,
@@ -291,13 +294,12 @@ def cmd_validate(args) -> int:
 
 def cmd_mst(args) -> int:
     obj = _load_table(args.input, args.has_header)
-    dist, ids = _distances_from_input(obj)
-    mst = minimum_spanning_tree(dist)
+    mst = minimum_spanning_tree(_distances_from_input(obj))
     write_json(mst.to_dict(), args.output)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(mst.to_dot(ids))
-    print(f"wrote MST ({len(mst.edges)} edges, total weight "
+            fh.write(mst.to_dot(obj.row_ids))
+    print(f"wrote MST ({mst.i.size} edges, total weight "
           f"{mst.total_weight:.6g}) to {args.output}")
     return 0
 

@@ -27,15 +27,9 @@ def adjusted_rand_index(a, b) -> float:
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     ka, kb = int(ai.max()) + 1, int(bi.max()) + 1
-    table = np.zeros((ka, kb), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-
-    def pairs(x) -> int:
-        return int(sum(int(v) * (int(v) - 1) // 2 for v in np.ravel(x)))
-
-    sum_ij = pairs(table)
-    sum_a = pairs(table.sum(axis=1))
-    sum_b = pairs(table.sum(axis=0))
+    table = np.bincount(ai * kb + bi, minlength=ka * kb)  # row-major contingency table
+    sum_ij, sum_a, sum_b = (int((x * (x - 1) // 2).sum())
+                            for x in (table, np.bincount(ai), np.bincount(bi)))
     total = n * (n - 1) // 2
     expected = sum_a * sum_b / total
     max_index = (sum_a + sum_b) / 2.0
@@ -46,21 +40,23 @@ def adjusted_rand_index(a, b) -> float:
 
 @dataclass
 class MstEdgeList:
-    """N-1 edges (i, j, weight) spanning all nodes with minimal total weight."""
+    """N-1 edges (i[k], j[k]) of weight w[k], spanning all nodes with minimal total weight."""
 
-    edges: list[tuple[int, int, float]]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
 
     @property
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        return float(self.w.sum())
 
     def to_dict(self) -> dict:
-        return {"kind": "mst",
-                "edges": [{"i": i, "j": j, "w": w} for i, j, w in self.edges]}
+        rows = zip(self.i.tolist(), self.j.tolist(), self.w.tolist())
+        return {"kind": "mst", "edges": [{"i": i, "j": j, "w": w} for i, j, w in rows]}
 
     def to_dot(self, ids: list[str] | None = None) -> str:
         lines = ["graph mst {"]
-        for i, j, w in self.edges:
+        for i, j, w in zip(self.i.tolist(), self.j.tolist(), self.w.tolist()):
             a = ids[i] if ids else str(i)
             b = ids[j] if ids else str(j)
             lines.append(f'  "{a}" -- "{b}" [label="{w:.6g}"];')
@@ -88,8 +84,8 @@ def minimum_spanning_tree(dist: np.ndarray) -> MstEdgeList:
     rank[order] = np.arange(1, order.size + 1)
     tree = csgraph.minimum_spanning_tree(csr_matrix((rank, (iu, ju)), shape=(n, n)))
     picked = order[np.sort(tree.data).astype(np.int64) - 1]
-    return MstEdgeList([(int(i), int(j), float(d[i, j]))
-                        for i, j in zip(iu[picked], ju[picked])])
+    i, j = iu[picked], ju[picked]
+    return MstEdgeList(i, j, d[i, j])
 
 
 def generate_circles(n: int, noise: float = 0.5, seed: int = 0) -> tuple[DataMatrix, np.ndarray]:
@@ -133,21 +129,12 @@ def generate_blobs(n: int, dims: int, sigmas, seed: int = 0) -> tuple[DataMatrix
     reach = 10.0 * max(sigmas)
     for _ in range(1000):
         centers = rng.uniform(-reach, reach, size=(k, dims))
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.linalg.norm(centers[i] - centers[j]) < reach:
-                    ok = False
-        if ok:
+        if all(np.linalg.norm(centers[i] - centers[j]) >= reach
+               for i, j in zip(*np.triu_indices(k, 1))):
             break
     else:
         raise DomainError("failed to place well-separated centers")
 
-    base, extra = divmod(n, k)
-    sizes = [base + (1 if c < extra else 0) for c in range(k)]
-    points = []
-    labels = []
-    for c, (size, sigma) in enumerate(zip(sizes, sigmas)):
-        points.append(centers[c] + sigma * rng.normal(size=(size, dims)))
-        labels.extend([c] * size)
-    return DataMatrix(np.vstack(points), None), np.array(labels, dtype=int)
+    labels = np.repeat(np.arange(k), [n // k + (c < n % k) for c in range(k)])
+    points = centers[labels] + np.asarray(sigmas)[labels, None] * rng.normal(size=(n, dims))
+    return DataMatrix(points, None), labels

@@ -300,6 +300,8 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         raise DomainError("pop_size must be >= 2")
     if max_generations < 1:
         raise DomainError("max_generations must be >= 1")
+    if stall_generations < 1:
+        raise DomainError("stall_generations must be >= 1")
     if objective not in _SCORERS:
         raise DomainError(f"unknown objective {objective!r}")
 

@@ -11,7 +11,6 @@ where K_hat is the average neighbor count and a is the mean edge distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,15 @@ def euclidean_distances(data: DataMatrix) -> np.ndarray:
 
 
 def correlation_to_distance(corr: CorrelationMatrix) -> np.ndarray:
-    """Embed correlations as distances via d = sqrt(2 (1 - rho))."""
-    d = np.sqrt(np.maximum(2.0 * (1.0 - corr.values), 0.0))
+    """Distances by the envelope's kind: d = sqrt(2 (1 - rho)) for correlations.
+
+    A ``similarity_from_distance`` envelope gets d = 1 - s, clamped at 0: its
+    construction inverted up to the global scale, which strengths ignore.
+    """
+    if corr.kind == "similarity_from_distance":
+        d = np.maximum(1.0 - corr.values, 0.0)
+    else:
+        d = np.sqrt(np.maximum(2.0 * (1.0 - corr.values), 0.0))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -105,13 +111,14 @@ def mutual_knn_graph(dist: np.ndarray, k: int) -> NeighborGraph:
     ranked = d.copy()
     np.fill_diagonal(ranked, np.inf)
     nearest = np.argsort(ranked, axis=1, kind="stable")[:, :k]
-    near = np.zeros((n, n), dtype=bool)
-    near[np.arange(n)[:, None], nearest] = True
-    upper = np.triu(near & near.T, k=1)
-    tree = np.array([(i, j) for i, j, _ in minimum_spanning_tree(d).edges])
-    upper[tree[:, 0], tree[:, 1]] = True
-
-    ei, ej = np.nonzero(upper)
+    rows = np.arange(n)[:, None]
+    # k-NN pair (i, j) coded i * n + j; it is mutual iff its reverse j * n + i is one too
+    near = rows * n + nearest
+    mutual = near[(nearest > rows) & np.isin(near, nearest * n + rows)]
+    # The tree is built last. Built first, it lowered a lone `spc` run's peak at
+    # N=2000, but glibc then kept ~60 MB of freed heap resident on some inputs.
+    tree = minimum_spanning_tree(d)
+    ei, ej = np.divmod(np.union1d(mutual, tree.i * n + tree.j), n)
     ed = d[ei, ej]
     if ed.max() <= 0.0:
         raise DegenerateInputError("all graph edges have zero length")
@@ -120,13 +127,12 @@ def mutual_knn_graph(dist: np.ndarray, k: int) -> NeighborGraph:
     return NeighborGraph(n, ei, ej, ed, k_hat, a)
 
 
-def strength_matrix(graph: NeighborGraph, dist: np.ndarray | None = None) -> StrengthGraph:
+def strength_matrix(graph: NeighborGraph) -> StrengthGraph:
     """Gaussian-decay interaction strengths on the graph edges."""
     a = graph.length_scale_a
     if not a > 0.0:
         raise DomainError("length scale must be positive")
-    d = graph.edge_dist if dist is None else np.asarray(dist)[graph.edge_i, graph.edge_j]
-    j = np.exp(-0.5 * (d / a) ** 2) / graph.k_hat
+    j = np.exp(-0.5 * (graph.edge_dist / a) ** 2) / graph.k_hat
     return StrengthGraph(graph, j)
 
 

@@ -54,7 +54,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def sweep_on(data, grid, seed, k=K):
     dist = euclidean_distances(data)
-    strengths = strength_matrix(mutual_knn_graph(dist, k=k), dist)
+    strengths = strength_matrix(mutual_knn_graph(dist, k=k))
     return temperature_sweep(strengths, grid, m_steps=M_STEPS, burn_in=BURN_IN,
                              q=Q, theta=THETA, seed=seed)
 
@@ -371,7 +371,7 @@ class TestCriterion7ThermodynamicIdentities:
         for n, k in ((50, 4), (64, 5), (80, 6)):
             x = rng.normal(size=(n, 2))
             d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-            s = strength_matrix(mutual_knn_graph(d, k=k), d)
+            s = strength_matrix(mutual_knn_graph(d, k=k))
             cold = run_temperature(s, 1e-6, m_steps=400, burn_in=200, q=Q,
                                    seed=701).mean_magnetization
             hot = run_temperature(s, 1e3, m_steps=400, burn_in=200, q=Q,

@@ -1,3 +1,6 @@
+import ast
+import hashlib
+import inspect
 import json
 import re
 import shlex
@@ -6,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spinclust
+from spinclust import cli
 from spinclust.cli import build_parser, main, parse_trange
 from spinclust.dataset import (
     load_envelope,
@@ -16,6 +21,7 @@ from spinclust.dataset import (
 )
 from spinclust.errors import DomainError
 from spinclust.preprocess import imn_denoise
+from spinclust.similarity import correlation_to_distance, mutual_knn_graph, strength_matrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -297,6 +303,67 @@ class TestSpcFspcValidateMst:
         assert len(doc["edges"]) == 35
         assert dot.read_text().startswith("graph mst {")
 
+    @pytest.mark.parametrize("kind, bad, expect", [
+        ("csv", "inf", "on line 3: inf is not an int64 integer"),
+        ("csv", "1.7", "on line 3: 1.7 is not an int64 integer"),
+        ("csv", str(2**63), f"on line 3: {2**63} is not an int64 integer"),
+        ("json", "a", "at best_labels[2]: 'a' is not an int64 integer"),
+        ("json", 0.5, "at best_labels[2]: 0.5 is not an int64 integer"),
+    ], ids=["csv_inf", "csv_fraction", "csv_beyond_int64", "json_string", "json_fraction"])
+    def test_bad_reference_label_exit_1(self, pipeline, kind, bad, expect, capsys, tmp_path):
+        _, _, _, sweep, _ = pipeline
+        labels = [0] * 36
+        labels[2] = bad
+        ref = tmp_path / f"ref.{kind}"
+        ref.write_text("".join(f"{v}\n" for v in labels) if kind == "csv"
+                       else json.dumps({"best_labels": labels}))
+        capsys.readouterr()
+        assert run("validate", "--sweep", str(sweep), "--reference", str(ref),
+                   "--output", str(tmp_path / "rep")) == 1
+        assert expect in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_reference_labels_read_exactly(self, tmp_path):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"{2**53 + 1}\n{2**53}\n-3\n4.0\n\n")
+        np.testing.assert_array_equal(cli._read_labels(str(ref)), [2**53 + 1, 2**53, -3, 4])
+
+    def test_library_chain_matches_spc_strengths(self, pipeline, monkeypatch, tmp_path):
+        _, _, sim, _, _ = pipeline
+        built = []
+
+        def recording(graph):
+            built.append(strength_matrix(graph))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "strength_matrix", recording)
+        assert run("spc", "--input", str(sim), "--k", "4", "--t", "0.1:0.1:0.1",
+                   "--steps", "20", "--burn-in", "5", "--output", str(tmp_path / "s.json")) == 0
+        (spc,) = built
+        lib = strength_matrix(mutual_knn_graph(correlation_to_distance(load_envelope(str(sim))), 4))
+        np.testing.assert_array_equal(lib.graph.edge_i, spc.graph.edge_i)
+        np.testing.assert_array_equal(lib.graph.edge_j, spc.graph.edge_j)
+        np.testing.assert_array_equal(lib.j, spc.j)
+        assert lib.h_max == spc.h_max
+
+    # sha256 of the spc and mst outputs on the pipeline's sim.json, recorded
+    # while cli.py still held its own similarity-envelope distance rule
+    SIM_GOLDEN = {
+        "sweep.json": "d2ae45e8295a51859f76fcc2ba0adb1cdc6c98a6a5547c0b94a39c9d402645b8",
+        "mst.json": "d9703d2658ad24a324c7c9b355cf9976dc16f116dbce4ee2589eb1adcae94e0b",
+        "mst.dot": "9c1bcf528fc6be863890360dcc005fe223a96a21d6631f8460e956088bdc4a50",
+    }
+
+    def test_similarity_envelope_outputs_golden(self, pipeline, tmp_path):
+        _, _, sim, _, _ = pipeline
+        assert run("spc", "--input", str(sim), "--k", "4", "--q", "20",
+                   "--t", "0.01:0.15:0.02", "--steps", "300", "--burn-in", "60",
+                   "--seed", "7", "--output", str(tmp_path / "sweep.json")) == 0
+        assert run("mst", "--input", str(sim), "--output", str(tmp_path / "mst.json"),
+                   "--dot", str(tmp_path / "mst.dot")) == 0
+        for name, digest in self.SIM_GOLDEN.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_spc_reruns_byte_identical(self, pipeline, tmp_path):
         _, data, _, _, _ = pipeline
         a = tmp_path / "a.json"
@@ -450,6 +517,17 @@ class TestUsageErrors:
         assert run(sub, flag, str(bad), "--output", str(tmp_path / "out")) == 1
         assert "bad.json: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stall", ["0", "-5"])
+    def test_stall_below_one_exit_1(self, stall, capsys, tmp_path):
+        env = tmp_path / "corr.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": list("abcd"),
+                                   "col_ids": list("abcd"), "values": np.eye(4).tolist()}))
+        out = tmp_path / "r.json"
+        assert run("fspc", "--corr", str(env), "--pop", "4", "--gens", "3",
+                   "--stall", stall, "--output", str(out)) == 1
+        assert "stall_generations must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag_exit_2(self):
         assert run("fspc") == 2
 
@@ -480,6 +558,24 @@ class TestReadmeCommands:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: spinclust {shlex.join(argv)}")
+
+    def test_library_block_matches_api(self):
+        """Names come from spinclust.__all__; each call binds to its function's signature."""
+        (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+        tree = ast.parse(block)
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "spinclust"
+                    for alias in node.names}
+        assert imported and imported <= set(spinclust.__all__)
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id in imported]
+        assert {call.func.id for call in calls} == imported
+        for call in calls:
+            try:
+                inspect.signature(getattr(spinclust, call.func.id)).bind(
+                    *call.args, **{kw.arg: kw.value for kw in call.keywords})
+            except TypeError as exc:
+                pytest.fail(f"README calls {ast.unparse(call)}: {exc}")
 
     def test_price_panel_preprocess_then_fspc(self, tmp_path, monkeypatch):
         commands = readme_commands()

@@ -34,6 +34,15 @@ def ari_by_hand(a, b):
     return (sum_ij - exp) / (mx - exp)
 
 
+@st.composite
+def labeling_pairs(draw):
+    """Two equal-length labelings drawn from small pools of int64 values, extremes included."""
+    n = draw(st.integers(2, 40))
+    wide = st.integers(-2**63, 2**63 - 1)
+    pools = [draw(st.lists(wide, min_size=1, max_size=5, unique=True)) for _ in range(2)]
+    return [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for pool in pools]
+
+
 class TestAdjustedRandIndex:
     def test_identical(self):
         assert adjusted_rand_index([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
@@ -56,6 +65,11 @@ class TestAdjustedRandIndex:
             if len(set(a.tolist())) < 2 and len(set(b.tolist())) < 2:
                 continue
             assert adjusted_rand_index(a, b) == pytest.approx(ari_by_hand(a, b), abs=1e-12)
+
+    @given(labeling_pairs())
+    def test_equals_hand_oracle_exactly(self, pair):
+        a, b = pair
+        assert adjusted_rand_index(a, b) == ari_by_hand(a, b)
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
@@ -141,14 +155,13 @@ class TestMinimumSpanningTree:
     def test_three_points(self):
         d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
         mst = minimum_spanning_tree(d)
-        weights = sorted(w for _, _, w in mst.edges)
-        assert weights == [1.0, 2.0]
+        assert sorted(mst.w.tolist()) == [1.0, 2.0]
 
     def test_collinear_chain(self):
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         d = np.abs(pts - pts.T)
         mst = minimum_spanning_tree(d)
-        assert sorted((i, j) for i, j, _ in mst.edges) == [(0, 1), (1, 2), (2, 3)]
+        assert sorted(zip(mst.i.tolist(), mst.j.tolist())) == [(0, 1), (1, 2), (2, 3)]
         assert mst.total_weight == 3.0
 
     def test_matches_prim_on_random_instances(self):
@@ -158,7 +171,7 @@ class TestMinimumSpanningTree:
             pts = rng.normal(size=(n, 3))
             d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
             mst = minimum_spanning_tree(d)
-            assert len(mst.edges) == n - 1
+            assert mst.i.size == mst.j.size == mst.w.size == n - 1
             assert mst.total_weight == pytest.approx(prim_mst_weight(d), abs=1e-9)
 
     def test_spans_all_nodes(self):
@@ -166,15 +179,12 @@ class TestMinimumSpanningTree:
         pts = rng.normal(size=(25, 2))
         d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         mst = minimum_spanning_tree(d)
-        touched = set()
-        for i, j, _ in mst.edges:
-            touched.add(i)
-            touched.add(j)
-        assert touched == set(range(25))
+        assert set(mst.i.tolist()) | set(mst.j.tolist()) == set(range(25))
 
     @given(tied_distances())
     def test_equals_kruskal_reference_with_ties(self, d):
-        assert minimum_spanning_tree(d).edges == kruskal_reference(d)
+        mst = minimum_spanning_tree(d)
+        assert list(zip(mst.i.tolist(), mst.j.tolist(), mst.w.tolist())) == kruskal_reference(d)
 
     def test_dot_export(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -54,6 +54,19 @@ class TestCorrelationToDistance:
         c = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), "pearson")
         assert correlation_to_distance(c)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_similarity_envelope_gets_one_minus_s(self):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(12, 3))
+        d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
+        env = similarity_from_distance(d)
+        one_minus_s = 1.0 - env.values
+        np.fill_diagonal(one_minus_s, 0.0)
+        np.testing.assert_array_equal(correlation_to_distance(env), one_minus_s)
+        np.testing.assert_allclose(correlation_to_distance(env), d / d.max(), atol=1e-12)
+        as_pearson = CorrelationMatrix(env.values, "pearson")
+        np.testing.assert_allclose(correlation_to_distance(as_pearson),
+                                   np.sqrt(2.0 * one_minus_s), atol=1e-12)
+
     def test_triangle_inequality_on_random_psd(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -181,13 +194,13 @@ class TestMutualKnnGraph:
 class TestStrengthMatrix:
     def graph_from_points(self, pts, k=2):
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        return mutual_knn_graph(d, k=k), d
+        return mutual_knn_graph(d, k=k)
 
     def test_zero_distance_edge(self):
         # force an edge of length zero: coincident points
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        g, d = self.graph_from_points(pts, k=1)
-        s = strength_matrix(g, d)
+        g = self.graph_from_points(pts, k=1)
+        s = strength_matrix(g)
         zero_edges = s.j[g.edge_dist == 0.0]
         np.testing.assert_allclose(zero_edges, 1.0 / g.k_hat)
 
@@ -197,7 +210,7 @@ class TestStrengthMatrix:
         x = rng.normal(size=(40, 2))
         d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
         g = mutual_knn_graph(d, k=10)
-        s = strength_matrix(g, d)
+        s = strength_matrix(g)
         expected = math.exp(-0.5) / g.k_hat
         j_at_a = np.exp(-0.5 * (g.length_scale_a / g.length_scale_a) ** 2) / g.k_hat
         assert j_at_a == pytest.approx(expected, rel=1e-15)
@@ -208,7 +221,7 @@ class TestStrengthMatrix:
         x = rng.normal(size=(25, 3))
         d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
         g = mutual_knn_graph(d, k=4)
-        s = strength_matrix(g, d)
+        s = strength_matrix(g)
         order = np.argsort(g.edge_dist)
         assert np.all(np.diff(s.j[order]) <= 1e-15)
 

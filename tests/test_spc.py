@@ -65,8 +65,7 @@ def small_strength_graph(n=30, seed=0, k=3):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
     d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-    g = mutual_knn_graph(d, k=k)
-    return strength_matrix(g, d)
+    return strength_matrix(mutual_knn_graph(d, k=k))
 
 
 def sw_step(spins, strengths, t, q, rng):
@@ -238,8 +237,7 @@ class TestHamiltonian:
     def test_triangle_hand_value(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.9]])
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        g = mutual_knn_graph(d, k=2)
-        s = strength_matrix(g, d)
+        s = strength_matrix(mutual_knn_graph(d, k=2))
         s.j[:] = 0.3  # uniform bonds on the triangle
         # edges (0,2) and (1,2) unsatisfied -> (0.3 + 0.3) / 3
         assert hamiltonian(np.array([1, 1, 2]), s) == pytest.approx(0.2, abs=1e-15)
@@ -444,7 +442,7 @@ class TestTemperatureSweep:
         theta = 2 * np.pi * np.arange(n) / n
         x = np.c_[np.cos(theta), np.sin(theta)]
         d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-        s = strength_matrix(mutual_knn_graph(d, k=4), d)
+        s = strength_matrix(mutual_knn_graph(d, k=4))
         sweep = temperature_sweep(s, [0.005, 0.02, 0.1, 0.3, 10.0],
                                   m_steps=400, burn_in=200, q=20, seed=18)
         chis = [st.susceptibility for st in sweep]
@@ -482,7 +480,7 @@ class TestTemperatureSweep:
     def test_golden_sweep_json(self, workers):
         data, _ = generate_blobs(60, 3, [0.25, 0.5, 1.0], seed=3)
         dist = euclidean_distances(data)
-        s = strength_matrix(mutual_knn_graph(dist, k=6), dist)
+        s = strength_matrix(mutual_knn_graph(dist, k=6))
         sweep = temperature_sweep(s, [0.005, 0.03, 0.06, 0.12], m_steps=200, burn_in=50,
                                   q=20, seed=5, workers=workers)
         doc = sweep_to_json(sweep, params={"seed": 5})

@@ -163,7 +163,7 @@ class TestFreeEnergyCurve:
         theta = 2 * np.pi * np.arange(n) / n
         x = np.c_[np.cos(theta), np.sin(theta)]
         d = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-        s = strength_matrix(mutual_knn_graph(d, k=4), d)
+        s = strength_matrix(mutual_knn_graph(d, k=4))
         grid = np.round(np.linspace(0.02, 0.4, 12), 6).tolist()
         return temperature_sweep(s, grid, m_steps=500, burn_in=100, q=20, seed=37)
 
