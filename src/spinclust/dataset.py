@@ -113,34 +113,66 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
     def to_envelope(self) -> dict:
+        """The JSON envelope; ``values`` stays an array, which write_json writes."""
         return {"kind": self.kind, "row_ids": list(self.row_ids),
-                "col_ids": list(self.row_ids), "values": self.values.tolist()}
+                "col_ids": list(self.row_ids), "values": self.values}
 
 
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` as strict JSON plus a newline; NaN or infinity is a DomainError.
 
-    The text is ``json.dump``'s, encoded by ``json.dumps`` (the C encoder)
-    one top-level value, or one item of a top-level list, at a time, so
-    memory holds one item's text. A file the error cut short is removed,
-    so no invalid JSON is left behind.
+    The text is ``json.dump``'s, with a square float array written as its
+    ``tolist()``. It is encoded by ``json.dumps`` (the C encoder) one
+    top-level value, or one item of a top-level list, at a time, and an
+    array one row at a time (see ``_square_rows``), so memory holds one
+    item's text. A file the error cut short is removed, so no invalid JSON
+    is left behind.
     """
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{")
             for i, (key, value) in enumerate(doc.items()):
                 fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-                if isinstance(value, (list, tuple)):
-                    fh.write("[")
-                    for j, item in enumerate(value):
-                        fh.write(f"{', ' if j else ''}{json.dumps(item, allow_nan=False)}")
-                    fh.write("]")
+                if isinstance(value, np.ndarray):
+                    items = _square_rows(value)
+                elif isinstance(value, (list, tuple)):
+                    items = (json.dumps(item, allow_nan=False) for item in value)
                 else:
                     fh.write(json.dumps(value, allow_nan=False))
+                    continue
+                fh.write("[")
+                for j, text in enumerate(items):
+                    fh.write(f"{', ' if j else ''}{text}")
+                fh.write("]")
             fh.write("}\n")
     except ValueError as exc:
         os.remove(path)
         raise DomainError(f"{path}: not written, {exc}") from None
+
+
+def _square_rows(a: np.ndarray):
+    """JSON text of each row of a square float matrix, as ``json.dumps`` writes it.
+
+    Each cell above the diagonal is formatted once, by ``float.__repr__`` as
+    the C encoder does, and its mirror below reuses that text when the two
+    cells are the same bits (so -0.0 and 0.0 each keep their own); any other
+    cell below is formatted itself. A row's text is built when it is written,
+    and a cell's text is dropped once its mirror row is. A non-finite cell
+    raises json's ValueError before the first row.
+    """
+    bad = ~np.isfinite(a)
+    if bad.any():
+        json.dumps(float(a[bad][0]), allow_nan=False)
+    n = a.shape[0]
+    pending = np.empty((n, n), dtype=object)  # pending[j, i]: text of cell (i, j), i < j
+    for i in range(n):
+        upper = list(map(float.__repr__, a[i, i:].tolist()))
+        pending[i + 1:, i] = upper[1:]
+        lower = pending[i, :i].copy()
+        pending[i, :i] = None
+        own = np.flatnonzero(a[i, :i].view(np.int64) != a[:i, i].view(np.int64))
+        lower[own] = list(map(float.__repr__, a[i, own].tolist()))
+        yield "[" + ", ".join(lower.tolist() + upper) + "]"
 
 
 def read_json(path):

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .dataset import DataMatrix
 from .errors import DomainError
@@ -67,25 +66,47 @@ class MstEdgeList:
 def minimum_spanning_tree(dist: np.ndarray) -> MstEdgeList:
     """Kruskal's tree with ties broken by (weight, i, j) lexicographic order.
 
-    Each pair i < j is ranked by (d[i, j], i, j), and csgraph's MST runs on
-    the ranks 1, 2, 3, ... in place of the distances. Distinct weights make
-    the tree unique, so it is the tree Kruskal's algorithm builds under that
-    order; no rank is zero, so zero-distance pairs stay edges (csgraph reads
-    a zero as "no edge"). Edges are listed in rank order, the order in which
-    Kruskal's algorithm accepts them.
+    Prim's algorithm over the dense matrix, with the strict key (w, min(u, v),
+    max(u, v)) on every pair, w = dist[min(u, v), max(u, v)] read from the
+    upper triangle. Each node outside the tree keeps its best edge to the
+    tree under that key, and the next node is the one, among the nodes
+    outside, whose edge has the least key. The key orders all pairs
+    strictly, so the tree is the unique one Kruskal's algorithm builds
+    under it; zero-distance pairs stay edges. Edges are listed in (w, i, j)
+    order, the order in which Kruskal's algorithm accepts them. Memory
+    beyond ``dist`` is O(N).
     """
     d = np.asarray(dist, dtype=float)
     n = d.shape[0]
     if d.ndim != 2 or d.shape[1] != n or n < 2:
         raise DomainError("distance matrix must be square with N >= 2")
-    iu, ju = np.triu_indices(n, k=1)
-    order = np.lexsort((ju, iu, d[iu, ju]))
-    rank = np.empty(order.size)
-    rank[order] = np.arange(1, order.size + 1)
-    tree = csgraph.minimum_spanning_tree(csr_matrix((rank, (iu, ju)), shape=(n, n)))
-    picked = order[np.sort(tree.data).astype(np.int64) - 1]
-    i, j = iu[picked], ju[picked]
-    return MstEdgeList(i, j, d[i, j])
+    if np.isnan(d.min()):
+        raise DomainError("distance matrix contains NaN")
+    # nodes outside the tree, and the best edge (w, lo, hi) of each to the tree
+    out = np.arange(1, n)
+    w, lo, hi = d[0, 1:].copy(), np.zeros(n - 1, dtype=np.int64), out.copy()
+    ei, ej = np.empty(n - 1, dtype=np.int64), np.empty(n - 1, dtype=np.int64)
+    for m in range(n - 1, 0, -1):  # m nodes outside the tree
+        pick = np.flatnonzero(w == w.min())
+        if pick.size > 1:
+            pick = pick[lo[pick] == lo[pick].min()]
+            pick = pick[hi[pick] == hi[pick].min()]
+        p = pick[0]
+        u = out[p]
+        ei[m - 1], ej[m - 1] = lo[p], hi[p]
+        # the last node outside takes u's place
+        for a in (out, w, lo, hi):
+            a[p] = a[m - 1]
+        out, w, lo, hi = out[:m - 1], w[:m - 1], lo[:m - 1], hi[:m - 1]
+        cw = d[u, out]
+        below = out < u
+        cw[below] = d[out[below], u]
+        clo, chi = np.minimum(out, u), np.maximum(out, u)
+        better = (cw < w) | ((cw == w) & ((clo < lo) | ((clo == lo) & (chi < hi))))
+        w[better], lo[better], hi[better] = cw[better], clo[better], chi[better]
+    ew = d[ei, ej]
+    order = np.lexsort((ej, ei, ew))
+    return MstEdgeList(ei[order], ej[order], ew[order])
 
 
 def generate_circles(n: int, noise: float = 0.5, seed: int = 0) -> tuple[DataMatrix, np.ndarray]:

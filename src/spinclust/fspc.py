@@ -291,8 +291,9 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
     """Elitist mutation-only search for the best-scoring labeling.
 
     Each generation mutates every parent once (operator drawn uniformly),
-    evaluates the children, and keeps the ``pop_size`` fittest of parents
-    plus children (ties resolved toward the earlier individual). Stops at
+    evaluates the children (one equal to its parent takes the parent's
+    fitness), and keeps the ``pop_size`` fittest of parents plus children
+    (ties resolved toward the earlier individual). Stops at
     ``max_generations`` or after ``stall_generations`` without improvement
     of the best fitness.
     """
@@ -329,7 +330,12 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         children = sequentialize(np.stack([
             _mutate(parent, k, MUTATION_KINDS[kind], rng)
             for parent, k, kind in zip(pop, (pop.max(axis=1) + 1).tolist(), kinds.tolist())]))
-        child_fits = score(*_cluster_sums(children, cvals))
+        # a child equal to its parent keeps the parent's fitness: a labeling
+        # scores the same bits in any batch
+        same = (children == pop).all(axis=1)
+        child_fits = fits.copy()
+        if not same.all():
+            child_fits[~same] = score(*_cluster_sums(children[~same], cvals))
 
         all_fits = np.concatenate([fits, child_fits])
         order = np.argsort(-all_fits, kind="stable")[:pop_size]

@@ -97,27 +97,24 @@ def mutual_knn_graph(dist: np.ndarray, k: int) -> NeighborGraph:
 
     An edge (i, j) exists iff each endpoint is among the other's k nearest
     neighbors; the distance-matrix MST is then merged in so the graph has a
-    single component regardless of k. Neighbor ties are broken by ascending
-    index: one stable row-wise argsort ranks each row by (distance, index),
+    single component regardless of k. Neighbors rank by (distance, index),
     with the diagonal set to +inf, so for finite distances a node is never
-    its own neighbor. Edges are listed with edge_i < edge_j, sorted by
-    (edge_i, edge_j).
+    its own neighbor: a partition finds each row's k-th smallest distance,
+    and the candidates up to it, in ascending index order, are sorted by
+    (row, distance, index), each row keeping its first k. Edges are listed
+    with edge_i < edge_j, sorted by (edge_i, edge_j).
     """
     d = np.asarray(dist, dtype=float)
     n = d.shape[0]
     if not 1 <= k < n:
         raise DomainError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
 
-    ranked = d.copy()
-    np.fill_diagonal(ranked, np.inf)
-    nearest = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+    tree = minimum_spanning_tree(d)  # first, so NaN distances fail as a DomainError
+    nearest = _k_nearest(d, k)
     rows = np.arange(n)[:, None]
     # k-NN pair (i, j) coded i * n + j; it is mutual iff its reverse j * n + i is one too
     near = rows * n + nearest
     mutual = near[(nearest > rows) & np.isin(near, nearest * n + rows)]
-    # The tree is built last. Built first, it lowered a lone `spc` run's peak at
-    # N=2000, but glibc then kept ~60 MB of freed heap resident on some inputs.
-    tree = minimum_spanning_tree(d)
     ei, ej = np.divmod(np.union1d(mutual, tree.i * n + tree.j), n)
     ed = d[ei, ej]
     if ed.max() <= 0.0:
@@ -125,6 +122,26 @@ def mutual_knn_graph(dist: np.ndarray, k: int) -> NeighborGraph:
     k_hat = 2.0 * ei.size / n
     a = float(ed.mean())
     return NeighborGraph(n, ei, ej, ed, k_hat, a)
+
+
+def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest other nodes, ranked by (distance, index): an N x k array.
+
+    The same as ``np.argsort(ranked, axis=1, kind="stable")[:, :k]`` with
+    +inf on the diagonal of ``ranked``, without sorting whole rows: a
+    partition gives each row's k-th smallest distance, and only the
+    candidates up to it, which ``np.nonzero`` lists in ascending index
+    order, are sorted.
+    """
+    n = d.shape[0]
+    ranked = d.copy()
+    np.fill_diagonal(ranked, np.inf)
+    kth = np.partition(ranked, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(ranked <= kth[:, None])
+    order = np.lexsort((c, ranked[r, c], r))
+    counts = np.bincount(r, minlength=n)
+    first_k = np.arange(r.size) - (np.cumsum(counts) - counts)[r[order]] < k
+    return c[order[first_k]].reshape(n, k)
 
 
 def strength_matrix(graph: NeighborGraph) -> StrengthGraph:

@@ -320,6 +320,37 @@ class TestEnvelopes:
             write_json({"ok": 1.0, "rows": [[1.0], [float("inf")]]}, p)
         assert not p.exists()
 
+    @staticmethod
+    def envelope_text(values):
+        doc = CorrelationMatrix(values, "pearson").to_envelope()
+        return json.dumps({**doc, "values": doc["values"].tolist()}) + "\n"
+
+    def test_symmetric_matrix_text_is_json_dump(self, tmp_path):
+        rng = np.random.default_rng(5)
+        a = np.corrcoef(rng.normal(size=(7, 12)))
+        a = 0.5 * (a + a.T)
+        a[1, 4] = np.nextafter(a[4, 1], 2.0)  # one bit off its mirror
+        a[2, 5], a[5, 2] = -0.0, 0.0           # equal, but not the same bits
+        a[3, 6] = a[6, 3] = 1e-300
+        p = tmp_path / "corr.json"
+        save_envelope(CorrelationMatrix(a, "pearson"), p)
+        assert p.read_text(encoding="utf-8") == self.envelope_text(a)
+        assert '"values": [[' in p.read_text() and "-0.0" in p.read_text()
+
+    def test_one_by_one_matrix_text(self, tmp_path):
+        p = tmp_path / "one.json"
+        save_envelope(CorrelationMatrix([[1.0]], "pearson"), p)
+        assert p.read_text(encoding="utf-8") == self.envelope_text(np.ones((1, 1)))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_cell_leaves_no_file(self, tmp_path, cell):
+        a = np.eye(4)
+        a[3, 1] = cell
+        p = tmp_path / "bad.json"
+        with pytest.raises(DomainError, match="bad.json: not written, Out of range float"):
+            save_envelope(CorrelationMatrix(a, "pearson"), p)
+        assert not p.exists()
+
     @pytest.mark.parametrize("kind", ["data", "pearson"])
     @pytest.mark.parametrize("values, expect", [
         ([[1.0, 0.5], [0.5]], r"values\[1\] has 1 cells, values\[0\] has 2"),

@@ -186,6 +186,44 @@ class TestMinimumSpanningTree:
         mst = minimum_spanning_tree(d)
         assert list(zip(mst.i.tolist(), mst.j.tolist(), mst.w.tolist())) == kruskal_reference(d)
 
+    @staticmethod
+    def edges(mst):
+        return list(zip(mst.i.tolist(), mst.j.tolist(), mst.w.tolist()))
+
+    def test_equals_kruskal_reference_on_blobs(self):
+        data, _ = generate_blobs(300, 3, [0.25, 0.5, 1.0], seed=17)
+        x = data.values
+        d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+        assert self.edges(minimum_spanning_tree(d)) == kruskal_reference(d)
+
+    def test_equals_kruskal_reference_on_integer_ties(self):
+        rng = np.random.default_rng(18)
+        n = 150
+        d = np.triu(rng.integers(0, 6, size=(n, n)).astype(float), k=1)
+        d += d.T
+        assert self.edges(minimum_spanning_tree(d)) == kruskal_reference(d)
+
+    def test_duplicate_points_keep_zero_weight_edges(self):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(40, 2))[rng.integers(0, 40, size=120)]
+        d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+        mst = minimum_spanning_tree(d)
+        assert self.edges(mst) == kruskal_reference(d)
+        assert (mst.w == 0.0).sum() == 120 - np.unique(x, axis=0).shape[0]
+
+    def test_reads_the_upper_triangle(self):
+        # only d[i, j], i < j, weighs the pair; the lower triangle is ignored
+        rng = np.random.default_rng(20)
+        d = np.triu(rng.random((30, 30)), k=1)
+        d = d + d.T
+        skewed = d + np.tril(rng.random((30, 30)), k=-1)
+        assert self.edges(minimum_spanning_tree(skewed)) == kruskal_reference(d)
+
+    def test_nan_rejected(self):
+        d = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0], [np.nan, 2.0, 0.0]])
+        with pytest.raises(DomainError, match="NaN"):
+            minimum_spanning_tree(d)
+
     def test_dot_export(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         dot = minimum_spanning_tree(d).to_dot(["a", "b"])

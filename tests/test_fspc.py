@@ -401,6 +401,44 @@ class TestGaRun:
         again = ga_run(corr, pop_size=20, max_generations=2000, stall_generations=40, seed=74)
         assert again.to_dict() == doc
 
+    def test_unchanged_children_reuse_parent_fitness(self, monkeypatch):
+        # three noisy blocks of 12: the population condenses, and many swaps
+        # and scrambles then reproduce their parent
+        rng = np.random.default_rng(75)
+        x = rng.normal(size=(3, 120))[np.arange(36) % 3] + 0.8 * rng.normal(size=(36, 120))
+        corr = CorrelationMatrix(np.corrcoef(x), "pearson")
+        run = dict(pop_size=20, max_generations=400, stall_generations=400, seed=76)
+        unpatched = ga_run(corr, **run).to_dict()
+
+        from spinclust import fspc
+        parents, expected, scored = [], [20], [0]
+        mutate_child, relabel, sums = fspc._mutate, fspc.sequentialize, fspc._cluster_sums
+
+        def mutate_counted(parent, *args):
+            parents.append(parent.copy())
+            return mutate_child(parent, *args)
+
+        def relabel_counted(labels):
+            out = relabel(labels)
+            if parents:  # a generation's children, in their parents' order
+                expected[0] += int((out != np.stack(parents)).any(axis=1).sum())
+                parents.clear()
+            return out
+
+        def sums_counted(labels, c):
+            scored[0] += np.atleast_2d(labels).shape[0]
+            return sums(labels, c)
+
+        monkeypatch.setattr(fspc, "_mutate", mutate_counted)
+        monkeypatch.setattr(fspc, "sequentialize", relabel_counted)
+        monkeypatch.setattr(fspc, "_cluster_sums", sums_counted)
+        res = ga_run(corr, **run)
+        # only the initial population and the children that differ from
+        # their parent were scored
+        assert scored[0] == expected[0] < 20 * (res.generations_run + 1)
+        assert res.to_dict() == unpatched
+        assert res.fitness == likelihood(res.best_labels, corr)
+
     def test_history_nondecreasing(self):
         rng = np.random.default_rng(54)
         x = rng.normal(size=(12, 50))

@@ -9,6 +9,7 @@ from test_evaluation import kruskal_reference, tied_distances
 from spinclust.dataset import CorrelationMatrix, DataMatrix
 from spinclust.errors import DegenerateInputError, DomainError
 from spinclust.similarity import (
+    _k_nearest,
     correlation_to_distance,
     euclidean_distances,
     mutual_knn_graph,
@@ -182,6 +183,25 @@ class TestMutualKnnGraph:
         assert g.edge_i.dtype == ei.dtype and g.edge_j.dtype == ej.dtype
         assert g.k_hat == 2.0 * len(pairs) / n
         assert g.length_scale_a == float(ed.mean())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_k_nearest_equals_stable_argsort_with_ties(self, seed):
+        # distances 0..2 on 200 nodes: every row has dozens of ties at its k-th value
+        rng = np.random.default_rng(seed)
+        n = 200
+        d = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), k=1)
+        d += d.T
+        ranked = d.copy()
+        np.fill_diagonal(ranked, np.inf)
+        full = np.argsort(ranked, axis=1, kind="stable")
+        for k in (1, 2, 5, 17, 66, 67, 150, n - 1):
+            np.testing.assert_array_equal(_k_nearest(d, k), full[:, :k])
+
+    def test_nan_distance_rejected(self):
+        d = np.ones((5, 5)) - np.eye(5)
+        d[0, 3] = d[3, 0] = np.nan
+        with pytest.raises(DomainError, match="NaN"):
+            mutual_knn_graph(d, k=4)
 
     def test_bad_k_rejected(self):
         d = np.zeros((5, 5))
