@@ -335,7 +335,7 @@ class TestEnvelopes:
         p = tmp_path / "corr.json"
         save_envelope(CorrelationMatrix(a, "pearson"), p)
         assert p.read_text(encoding="utf-8") == self.envelope_text(a)
-        assert '"values": [[' in p.read_text() and "-0.0" in p.read_text()
+        assert "-0.0" in p.read_text()
 
     def test_one_by_one_matrix_text(self, tmp_path):
         p = tmp_path / "one.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinclust import fspc
 from spinclust.dataset import CorrelationMatrix
 from spinclust.errors import DegenerateClusterError, DomainError
 from spinclust.evaluation import adjusted_rand_index
@@ -410,7 +411,6 @@ class TestGaRun:
         run = dict(pop_size=20, max_generations=400, stall_generations=400, seed=76)
         unpatched = ga_run(corr, **run).to_dict()
 
-        from spinclust import fspc
         parents, expected, scored = [], [20], [0]
         mutate_child, relabel, sums = fspc._mutate, fspc.sequentialize, fspc._cluster_sums
 
