@@ -125,11 +125,13 @@ def write_json(doc: dict, path) -> None:
     ``tolist()``. It is encoded by ``json.dumps`` (the C encoder) one
     top-level value, or one item of a top-level list, at a time, and an
     array one row at a time (see ``_square_rows``), so memory holds one
-    item's text. A file the error cut short is removed, so no invalid JSON
-    is left behind.
+    item's text. A file that any error cut short is removed, so no invalid
+    JSON is left behind; json's ValueError becomes the DomainError, and any
+    other error is re-raised.
     """
+    fh = open(path, "w", encoding="utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write("{")
             for i, (key, value) in enumerate(doc.items()):
                 fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
@@ -145,9 +147,11 @@ def write_json(doc: dict, path) -> None:
                     fh.write(f"{', ' if j else ''}{text}")
                 fh.write("]")
             fh.write("}\n")
-    except ValueError as exc:
+    except BaseException as exc:
         os.remove(path)
-        raise DomainError(f"{path}: not written, {exc}") from None
+        if isinstance(exc, ValueError):
+            raise DomainError(f"{path}: not written, {exc}") from None
+        raise
 
 
 def _square_rows(a: np.ndarray):
@@ -248,9 +252,12 @@ def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
         i, j = np.argwhere(bad)[0]
         raise ParseError(f"{path}: non-finite value {float(a[i, j])} at row {ids[i]!r}, "
                          f"column {ids[j]!r}")
-    skew = ~np.isclose(a, a.T, atol=_SYMMETRY_ATOL)
+    # equal cells are close, so isclose runs only where a != a.T (row-major order)
+    rows, cols = np.nonzero(a != a.T)
+    skew = ~np.isclose(a[rows, cols], a[cols, rows], atol=_SYMMETRY_ATOL)
     if skew.any():
-        i, j = np.argwhere(skew)[0]
+        k = int(np.argmax(skew))
+        i, j = rows[k], cols[k]
         raise DomainError(f"{path}: correlation matrix is not symmetric: "
                           f"({ids[i]!r}, {ids[j]!r}) is {float(a[i, j])!r} but "
                           f"({ids[j]!r}, {ids[i]!r}) is {float(a[j, i])!r}")

@@ -1,9 +1,9 @@
 """Cross-validation of sweep results: likelihood curves, ARI curves, phases.
 
 The temperature axis is segmented by reading the susceptibility: every
-prominent peak marks a transition, the window between the first and last
-peak is the super-paramagnetic regime, and the report tabulates cluster
-sizes per segment.
+chi peak (see ``phase_report``) marks a transition, the window between the
+first and last peak is the super-paramagnetic regime, and the report
+tabulates cluster sizes per segment.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .dataset import CorrelationMatrix
 from .errors import DomainError, InsufficientGridError
@@ -45,13 +44,27 @@ def ari_vs_temperature(sweep: list[TemperatureStats],
             for st in sweep]
 
 
+def _peaks(x: np.ndarray, height: float) -> np.ndarray:
+    """Indices of the peaks of ``x`` that reach ``height``, as scipy's ``find_peaks`` gives them.
+
+    A peak is a run of equal values whose neighbouring runs are both strictly
+    lower; it is reported at the middle of its run (rounded down), and a run
+    that touches either end of ``x`` is never a peak.
+    """
+    b = np.flatnonzero(x[1:] != x[:-1]) + 1  # start of every run but the first
+    lo, hi = b[:-1], b[1:]                    # each inner run is x[lo:hi]
+    peak = (x[lo - 1] < x[lo]) & (x[hi] < x[lo])
+    mid = (lo + hi - 1)[peak] // 2
+    return mid[x[mid] >= height]
+
+
 @dataclass
 class PhaseReport:
     """Chi peaks and the induced ferro / super-paramagnetic / para segments."""
 
     temperatures: list[float]
     chi: list[float]
-    peaks: list[tuple[float, float]]            # (T, chi) at each prominent peak
+    peaks: list[tuple[float, float]]            # (T, chi) at each chi peak
     sp_window: tuple[float, float] | None       # first to last peak temperature
     segments: dict[str, list[float]]            # phase name -> grid temperatures
     cluster_sizes: dict[str, list[tuple[float, list[int]]]] = field(default_factory=dict)
@@ -95,9 +108,14 @@ class PhaseReport:
 def phase_report(sweep: list[TemperatureStats]) -> PhaseReport:
     """Locate chi peaks and split the grid into the three phases.
 
+    A peak is a strict local maximum of chi, a plateau of equal chi counted
+    once at its middle point (the left one of two); a maximum that touches
+    either end of the grid is no peak, and a peak must reach 10% of the
+    largest chi (``PEAK_FRACTION``); no prominence is applied.
+
     The ferromagnetic segment runs up to (not including) the first peak,
     the super-paramagnetic segment spans first to last peak inclusive, and
-    the paramagnetic segment follows. Without any prominent peak the whole
+    the paramagnetic segment follows. Without any peak the whole
     grid is reported as a single unsegmented span.
     """
     if len(sweep) < 3:
@@ -105,8 +123,7 @@ def phase_report(sweep: list[TemperatureStats]) -> PhaseReport:
     ts = [st.temperature for st in sweep]
     chi = np.array([st.susceptibility for st in sweep])
     height = PEAK_FRACTION * chi.max() if chi.max() > 0 else np.inf
-    idx, _ = find_peaks(chi, height=height)
-    peaks = [(ts[i], float(chi[i])) for i in idx]
+    peaks = [(ts[i], float(chi[i])) for i in _peaks(chi, height)]
 
     segments: dict[str, list[float]] = {"ferromagnetic": [], "super_paramagnetic": [],
                                         "paramagnetic": []}

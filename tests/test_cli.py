@@ -4,6 +4,8 @@ import inspect
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -586,3 +588,17 @@ class TestReadmeCommands:
         assert main(preprocess) == 0
         assert main(fspc) == 0
         assert json.loads(Path("result.json").read_text())["best_labels"]
+
+
+class TestStartup:
+    def test_import_loads_neither_scipy_signal_nor_stats(self):
+        """scipy.signal (which loads scipy.stats) would add ~1 s to every CLI start."""
+        src = str(Path(spinclust.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import spinclust.cli; "
+                "print(spinclust.cli.__file__); "
+                "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        where, loaded = proc.stdout.splitlines()
+        assert Path(where).resolve().parents[1] == Path(src)
+        assert loaded == "[]"

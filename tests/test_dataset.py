@@ -320,6 +320,12 @@ class TestEnvelopes:
             write_json({"ok": 1.0, "rows": [[1.0], [float("inf")]]}, p)
         assert not p.exists()
 
+    def test_write_json_unencodable_value_leaves_no_file(self, tmp_path):
+        p = tmp_path / "x.json"
+        with pytest.raises(TypeError, match="set"):
+            write_json({"a": 1, "b": {1, 2}}, p)
+        assert not p.exists()
+
     @staticmethod
     def envelope_text(values):
         doc = CorrelationMatrix(values, "pearson").to_envelope()
@@ -376,6 +382,45 @@ class TestEnvelopes:
         c[2, 2] = 1.0 + 1e-13
         save_envelope(CorrelationMatrix(c, kind, row_ids=["a", "b", "c"]), p)
         assert load_envelope(p).values[2, 2] == 1.0 + 1e-13
+
+    def test_first_skewed_pair_is_named(self, tmp_path):
+        c = np.eye(5)
+        c[0, 1], c[1, 0] = 0.5, 0.5 + 1e-13   # unequal, but within the tolerance
+        c[1, 3], c[3, 1] = 0.2, 0.3
+        c[2, 4], c[4, 2] = -0.1, 0.1
+        c[4, 0] = 0.4                          # skewed below the diagonal only
+        p = tmp_path / "c.json"
+        save_envelope(CorrelationMatrix(c, "pearson", row_ids=list("abcde")), p)
+        with pytest.raises(DomainError, match=r"not symmetric: \('a', 'e'\) is 0.0 but "
+                                              r"\('e', 'a'\) is 0.4$"):
+            load_envelope(p)
+        c[4, 0] = 0.0
+        save_envelope(CorrelationMatrix(c, "pearson", row_ids=list("abcde")), p)
+        with pytest.raises(DomainError, match=r"not symmetric: \('b', 'd'\) is 0.2 but "
+                                              r"\('d', 'b'\) is 0.3$"):
+            load_envelope(p)
+
+    def test_skewed_pair_is_the_first_of_the_full_comparison(self, tmp_path):
+        rng = np.random.default_rng(11)
+        p = tmp_path / "c.json"
+        ids = [f"r{i}" for i in range(9)]
+        for _ in range(30):
+            c = np.eye(9)
+            for _ in range(rng.integers(1, 6)):
+                i, j = rng.integers(0, 9, size=2)
+                if i != j:
+                    c[i, j] += rng.choice([1e-13, 2e-12, 0.25])
+            skew = np.argwhere(~np.isclose(c, c.T, atol=1e-12))
+            save_envelope(CorrelationMatrix(c, "pearson", row_ids=ids), p)
+            if not skew.size:
+                load_envelope(p)
+                continue
+            i, j = skew[0]
+            with pytest.raises(DomainError) as err:
+                load_envelope(p)
+            assert str(err.value).endswith(
+                f"({ids[i]!r}, {ids[j]!r}) is {float(c[i, j])!r} but "
+                f"({ids[j]!r}, {ids[i]!r}) is {float(c[j, i])!r}")
 
     @pytest.mark.parametrize("kind, bounded", [
         ("pearson", True), ("denoised_rmt", True), ("similarity_from_distance", True),

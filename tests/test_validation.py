@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclust.dataset import CorrelationMatrix
 from spinclust.errors import DomainError, InsufficientGridError
 from spinclust.fspc import likelihood
 from spinclust.spc import TemperatureStats
 from spinclust.validation import (
+    _peaks,
     ari_vs_temperature,
     lc_vs_temperature,
     phase_report,
@@ -69,6 +72,23 @@ class TestAriVsTemperature:
         sweep = [fake_stats(0.1, 1.0, [0, 1])]
         with pytest.raises(DomainError):
             ari_vs_temperature(sweep, [0, 1, 2])
+
+
+class TestPeaks:
+    # a pool of a few values, -0.0 and NaN among them, so that plateaus
+    # (also at the ends of x), signed-zero runs and NaN cells are common
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, np.nan]), max_size=15),
+           st.sampled_from([-np.inf, 0.0, 1.0, np.inf, np.nan]))
+    def test_same_as_find_peaks(self, values, height):
+        from scipy.signal import find_peaks
+
+        x = np.array(values, dtype=float)
+        np.testing.assert_array_equal(_peaks(x, height), find_peaks(x, height=height)[0])
+
+    def test_plateau_at_its_middle_and_ends_excluded(self):
+        x = np.array([3.0, 3.0, 0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 5.0, 5.0])
+        assert _peaks(x, -np.inf).tolist() == [4]
 
 
 class TestPhaseReport:
