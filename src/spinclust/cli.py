@@ -28,6 +28,7 @@ from .dataset import (
     load_matrix,
     make_positive_definite,
     log_returns,
+    open_text,
     pairwise_overlap_correlation,
     read_json,
     save_envelope,
@@ -121,7 +122,7 @@ def _read_labels(path: str) -> np.ndarray:
         entries = [(f"at best_labels[{k}]", value) for k, value in enumerate(labels)]
     else:
         entries = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for line_no, line in enumerate(fh, 1):
                 text = line.strip()
                 if text:
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except SpinclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,9 +180,30 @@ def _square_rows(a: np.ndarray):
         yield "[" + ", ".join(lower.tolist() + upper) + "]"
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """Open ``path`` as UTF-8 text for reading.
+
+    A byte that is not UTF-8 becomes a ParseError naming the file and the
+    byte's offset in it (the decoder's own offset counts from its chunk).
+    """
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                                 f"at offset {exc.start}") from None
+            raise
+
+
 def read_json(path):
     """Parse the JSON file at ``path``; malformed JSON is a ParseError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -279,7 +301,7 @@ def load_matrix(path, has_header: bool = True) -> DataMatrix:
     Raises ParseError naming the offending row for ragged input, or the
     (row, column) coordinates for a non-numeric or non-finite cell.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         rows = [row for row in csv.reader(fh)]
     rows = [row for row in rows if row]  # drop fully empty lines
     if not rows:

@@ -3,11 +3,12 @@
 One Swendsen-Wang kernel advances a block of temperatures in lockstep as an
 R x N spin array, each temperature (replica) with its own random stream.
 Every step, bonds between aligned spins activate with probability
-1 - exp(-J/T); one connected-components pass labels the active bonds of all
-R replicas at once, on the block-diagonal union of their bond graphs; and
-every component draws a fresh spin. After burn-in the kernel accumulates
-magnetization, energy, and co-membership counts on the graph edges; the
-latter become the per-edge pair correlation
+1 - exp(-J/T); one numpy union-find pass labels the active bonds of all R
+replicas at once, on the block-diagonal union of their bond graphs, whose
+flat edge arrays also serve every per-edge gather; and every component draws
+a fresh spin. After burn-in the kernel accumulates magnetization, energy, and
+co-membership counts on the graph edges; the latter become the per-edge pair
+correlation
 
     G_ij = ((q - 1) * c_ij + 1) / q
 
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError
 from .similarity import NeighborGraph, StrengthGraph
@@ -119,30 +118,41 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.nda
     """Connected components of the undirected graph on n nodes with edges (rows, cols).
 
     Returns (count, labels); labels run 0..count-1 in first-visit (ascending
-    node index) order, which is how csgraph numbers components. The CSR is
-    built straight from the edge list, sorted by ``rows`` first if needed.
+    node index) order. A numpy union-find: each round hooks the larger root of
+    every edge that still joins two trees onto the smaller one, jumps pointers
+    until every node points at its root, and drops the edges inside one tree.
+    A root is thus always the smallest node of its tree, and numbering the
+    roots in node order gives the first-visit labels.
     """
-    if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
-        order = np.argsort(rows, kind="stable")
-        rows, cols = rows[order], cols[order]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    graph = csr_matrix((np.ones(rows.size), cols.astype(np.int32, copy=False), indptr),
-                       shape=(n, n))
-    return connected_components(graph, directed=False)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    parent = np.arange(n)
+    hi, lo = np.maximum(rows, cols), np.minimum(rows, cols)
+    while hi.size:
+        np.minimum.at(parent, hi, lo)
+        while True:
+            up = parent.take(parent)
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        hi, lo = parent.take(hi), parent.take(lo)
+        cross = np.flatnonzero(hi != lo)
+        hi, lo = hi.take(cross), lo.take(cross)
+        hi, lo = np.maximum(hi, lo), np.minimum(hi, lo)
+    roots = parent == np.arange(n)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1).take(parent)
 
 
 def _block_edges(ei: np.ndarray, ej: np.ndarray, n: int, r: int):
     """Edge endpoints in the block-diagonal union of r copies: node v of copy k is k*n + v."""
-    shift = (n * np.arange(r, dtype=np.int32))[:, None]
-    return ei.astype(np.int32) + shift, ej.astype(np.int32) + shift
+    shift = n * np.arange(r)[:, None]
+    return ei + shift, ej + shift
 
 
 def extended_hoshen_kopelman(bonds: BondConfiguration) -> np.ndarray:
     """Connected components of the active bonds, labels 0..k-1 in first-visit order."""
     act = np.asarray(bonds.active, dtype=bool)
     rows, cols = np.asarray(bonds.edge_i)[act], np.asarray(bonds.edge_j)[act]
-    return _components(bonds.n, rows, cols)[1].astype(np.int64)
+    return _components(bonds.n, rows, cols)[1]
 
 
 def _sw_move(same: np.ndarray, p_edge: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -158,16 +168,16 @@ def _sw_move(same: np.ndarray, p_edge: np.ndarray, rows: np.ndarray, cols: np.nd
     u = np.empty(p_edge.shape)
     for rng, row in zip(rngs, u):
         rng.random(out=row)
-    active = same & (u < p_edge)
+    active = np.flatnonzero(same & (u < p_edge))
     r = len(rngs)
-    n_clusters, labels = _components(r * n, rows[active], cols[active])
+    n_clusters, labels = _components(r * n, rows.take(active), cols.take(active))
     starts = np.append(labels[::n], n_clusters)
     cluster_spins = np.empty(n_clusters, dtype=np.int64)
     for k, rng in enumerate(rngs):
         lo, hi = starts[k], starts[k + 1]
         cluster_spins[lo:hi] = rng.integers(1, q + 1, size=hi - lo)
     labels = labels.reshape(r, n)
-    return cluster_spins[labels], labels
+    return cluster_spins.take(labels), labels
 
 
 def magnetization(values: np.ndarray, q: int):
@@ -234,7 +244,7 @@ def extract_clusters(edge_g: np.ndarray, theta: float, graph: NeighborGraph) -> 
     first = order[np.unique(ends[order], return_index=True)[1]]
     rows = np.concatenate([ei[keep], ends[first]])
     cols = np.concatenate([ej[keep], nbrs[first]])
-    return _components(graph.n, rows, cols)[1].astype(np.int64)
+    return _components(graph.n, rows, cols)[1]
 
 
 def _run_block(strengths: StrengthGraph, temps: list[float], seeds: list, m_steps: int,
@@ -261,7 +271,7 @@ def _run_block(strengths: StrengthGraph, temps: list[float], seeds: list, m_step
     p_edge = bond_probability(jv, np.asarray(temps)[:, None])
 
     spins = np.stack([rng.integers(1, q + 1, size=n) for rng in rngs])
-    same = spins[:, ei] == spins[:, ej]
+    same = spins.take(rows) == spins.take(cols)
     samples = m_steps - burn_in
     co = np.zeros((r, ei.size), dtype=np.int64)
     m_sum = np.zeros(r)
@@ -270,14 +280,14 @@ def _run_block(strengths: StrengthGraph, temps: list[float], seeds: list, m_step
 
     for step in range(m_steps):
         spins, labels = _sw_move(same, p_edge, rows, cols, n, q, rngs)
-        same = spins[:, ei] == spins[:, ej]
+        same = spins.take(rows) == spins.take(cols)
         if step < burn_in:
             continue
         m = magnetization(spins, q)
         m_sum += m
         m2_sum += m * m
         energies[:, step - burn_in] = _energies(~same, jv, n)
-        co += labels[:, ei] == labels[:, ej]
+        co += labels.take(rows) == labels.take(cols)
 
     out = []
     for k, t in enumerate(temps):

@@ -45,11 +45,12 @@ def ari_vs_temperature(sweep: list[TemperatureStats],
 
 
 def _peaks(x: np.ndarray, height: float) -> np.ndarray:
-    """Indices of the peaks of ``x`` that reach ``height``, as scipy's ``find_peaks`` gives them.
+    """Indices of the peaks of ``x`` that reach ``height``, in ascending order.
 
     A peak is a run of equal values whose neighbouring runs are both strictly
     lower; it is reported at the middle of its run (rounded down), and a run
-    that touches either end of ``x`` is never a peak.
+    that touches either end of ``x`` is never a peak. The tests check this
+    rule against a reference peak finder.
     """
     b = np.flatnonzero(x[1:] != x[:-1]) + 1  # start of every run but the first
     lo, hi = b[:-1], b[1:]                    # each inner run is x[lo:hi]

@@ -325,6 +325,17 @@ class TestSpcFspcValidateMst:
         assert expect in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
+    def test_non_utf8_reference_labels_exit_1(self, pipeline, capsys, tmp_path):
+        _, _, _, sweep, _ = pipeline
+        ref = tmp_path / "ref.csv"
+        ref.write_bytes(b"0\n1\n\xfe\n" + b"0\n" * 33)
+        capsys.readouterr()
+        assert run("validate", "--sweep", str(sweep), "--reference", str(ref),
+                   "--output", str(tmp_path / "rep")) == 1
+        assert capsys.readouterr().err == (f"error: {ref}: not UTF-8 text: "
+                                           "byte 0xfe at offset 4\n")
+        assert not (tmp_path / "rep.json").exists()
+
     def test_reference_labels_read_exactly(self, tmp_path):
         ref = tmp_path / "ref.csv"
         ref.write_text(f"{2**53 + 1}\n{2**53}\n-3\n4.0\n\n")
@@ -530,6 +541,14 @@ class TestUsageErrors:
         assert "stall_generations must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub, flag", [("fspc", "--corr"), ("spc", "--input")])
+    def test_directory_input_exit_1(self, sub, flag, capsys, tmp_path):
+        capsys.readouterr()
+        assert run(sub, flag, str(tmp_path), "--output", str(tmp_path / "out.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_missing_required_flag_exit_2(self):
         assert run("fspc") == 2
 
@@ -602,3 +621,27 @@ class TestStartup:
         where, loaded = proc.stdout.splitlines()
         assert Path(where).resolve().parents[1] == Path(src)
         assert loaded == "[]"
+
+    def test_import_and_spc_run_load_no_scipy(self, tmp_path):
+        """The chain labels its clusters with numpy alone; scipy is a test-only oracle."""
+        src = str(Path(spinclust.__file__).resolve().parents[1])
+        data = tmp_path / "blobs.csv"
+        assert run("generate", "blobs", "--n", "30", "--dims", "3", "--seed", "1",
+                   "--output", str(data)) == 0
+        spc = ["spc", "--input", str(data), "--k", "5", "--t", "0.01:0.05:0.02",
+               "--steps", "20", "--burn-in", "5", "--threads", "1",
+               "--output", str(tmp_path / "sweep.json")]
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "def scipy_loaded():\n"
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "import spinclust; print(spinclust.__file__); print(scipy_loaded())\n"
+                "import spinclust.cli; print(scipy_loaded())\n"
+                f"assert spinclust.cli.main({spc!r}) == 0; print(scipy_loaded())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        where, *loaded = proc.stdout.splitlines()
+        assert Path(where).resolve().parents[1] == Path(src)
+        # after `import spinclust`, after `import spinclust.cli`, the spc run's own
+        # line, after the spc run
+        assert loaded[0] == loaded[1] == loaded[-1] == "[]" and len(loaded) == 4
+        assert json.loads((tmp_path / "sweep.json").read_text())["records"]

@@ -68,6 +68,15 @@ class TestLoadMatrix:
         with pytest.raises(ParseError, match="non-finite cell at row 3, column 2"):
             load_matrix(p, has_header=False)
 
+    def test_non_utf8_byte_names_file_offset(self, tmp_path):
+        # past the text decoder's first chunk, so its chunk-relative offset would differ
+        head = b"a,b\n" + b"1,2\n" * 3000
+        p = tmp_path / "bad.csv"
+        p.write_bytes(head + b"3,\xff4\n")
+        with pytest.raises(ParseError, match=f"bad.csv: not UTF-8 text: byte 0xff at offset "
+                                             f"{len(head) + 2}$"):
+            load_matrix(p)
+
     def test_non_finite_masked_cell_allowed(self):
         vals = np.array([[1.0, np.nan], [2.0, 3.0]])
         mask = np.array([[True, False], [True, True]])
@@ -445,6 +454,15 @@ class TestEnvelopes:
             read_json(p)
         with pytest.raises(ParseError, match="bad.json: invalid JSON"):
             load_envelope(p)
+
+    def test_non_utf8_json_names_file_offset(self, tmp_path):
+        head = b'{"kind": "data", "pad": "' + b"x" * 20000
+        p = tmp_path / "bad.json"
+        p.write_bytes(head + b'\xff"}')
+        for reader in (read_json, load_envelope):
+            with pytest.raises(ParseError, match=f"bad.json: not UTF-8 text: byte 0xff at "
+                                                 f"offset {len(head)}$"):
+                reader(p)
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

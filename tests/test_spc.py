@@ -149,6 +149,84 @@ class TestExtendedHoshenKopelman:
             np.testing.assert_array_equal(got, want)
 
 
+def assert_components(n, rows, cols):
+    """``_components`` on (rows, cols) equals the BFS oracle, count and labels."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    count, labels = _components(n, rows, cols)
+    want = bfs_components(n, zip(rows.tolist(), cols.tolist()))
+    np.testing.assert_array_equal(labels, want)
+    assert count == (int(want.max()) + 1 if n else 0)
+
+
+def sparse_forest(seed=3, n=300, m=200):
+    """Many small components, most of them trees that need several hook rounds."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, n, size=(2, m))
+    keep = rows != cols
+    return n, rows[keep], cols[keep]
+
+
+class TestComponents:
+    """Guards of the union-find labeler against the BFS oracle."""
+
+    @pytest.mark.parametrize("n", [17, 5000])
+    @pytest.mark.parametrize("order", ["ordered", "reversed", "permuted"])
+    def test_two_paths(self, n, order):
+        # two paths, over the first and the second half of the ids in this order
+        ids = {"ordered": np.arange(n), "reversed": np.arange(n)[::-1],
+               "permuted": np.random.default_rng(n).permutation(n)}[order]
+        halves = ids[: n // 2], ids[n // 2:]
+        rows = np.concatenate([h[:-1] for h in halves])
+        cols = np.concatenate([h[1:] for h in halves])
+        assert_components(n, rows, cols)
+
+    def test_star_around_a_middle_node(self):
+        n, hub = 41, 20
+        leaves = np.delete(np.arange(n), hub)
+        assert_components(n + 3, np.full(leaves.size, hub), leaves)
+
+    @pytest.mark.parametrize("shape", ["duplicates", "self_loops", "rows_above_cols",
+                                       "unsorted_rows"])
+    def test_edge_list_shapes(self, shape):
+        n, rows, cols = sparse_forest()
+        if shape == "duplicates":
+            rows, cols = np.concatenate([rows, cols, rows]), np.concatenate([cols, rows, cols])
+        elif shape == "self_loops":
+            rows, cols = np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])
+        elif shape == "rows_above_cols":
+            rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        else:
+            order = np.argsort(rows, kind="stable")[::-1]
+            rows, cols = rows[order], cols[order]
+        assert_components(n, rows, cols)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_no_edges(self, n):
+        empty = np.array([], dtype=np.int64)
+        count, labels = _components(n, empty, empty)
+        assert count == n
+        np.testing.assert_array_equal(labels, np.arange(n))
+
+    def test_single_node_with_self_loop(self):
+        assert_components(1, [0, 0], [0, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=2 * n))))
+    def test_matches_csgraph(self, case):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+        n, edges = case
+        rows = np.array([a for a, _ in edges], dtype=np.int64)
+        cols = np.array([b for _, b in edges], dtype=np.int64)
+        want_count, want = connected_components(
+            coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)), directed=False)
+        count, labels = _components(n, rows, cols)
+        assert count == want_count
+        np.testing.assert_array_equal(labels, want)
+
+
 @st.composite
 def block_union(draw):
     """R bond graphs over one shared edge list sorted by edge_i, as the kernel sees them."""
