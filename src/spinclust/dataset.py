@@ -85,8 +85,7 @@ class DataMatrix:
                           row_ids=list(self.col_ids), col_ids=list(self.row_ids))
 
     def to_envelope(self) -> dict:
-        vals = [[self.values[i, j] if self.mask[i, j] else None
-                 for j in range(self.n_cols)] for i in range(self.n_rows)]
+        vals = np.where(self.mask, self.values, None).tolist()  # None for a blank cell
         return {"kind": "data", "row_ids": list(self.row_ids),
                 "col_ids": list(self.col_ids), "values": vals}
 

@@ -13,6 +13,12 @@ objective stays finite on perfectly correlated blocks.
 The maximizer is an elitist mutation-only genetic algorithm: every parent
 spawns one mutated child per generation, parents and children compete, and
 the run stops after a fixed number of generations without improvement.
+
+Draw order. A generation draws every child's operator first, then the
+children draw their random numbers one at a time, in population order, each
+making exactly the draws the one-child ``mutate`` makes. Only then are the
+children written, all children of one operator at once. So a seed gives the
+same run however the writes are batched.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .dataset import CorrelationMatrix
 from .errors import DegenerateClusterError, DomainError
 
 MUTATION_KINDS = ("new", "split", "merge", "swap", "scramble", "flip")
+_NEW, _SPLIT, _MERGE, _SWAP, _SCRAMBLE, _FLIP = range(len(MUTATION_KINDS))
 
 _UPPER_MARGIN = 1e-9
 
@@ -81,22 +88,32 @@ def sequentialize(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     n = labels.shape[-1]
     rows = labels.reshape(math.prod(labels.shape[:-1]), n)
-    # flat positions, sorted by label within each row; a stable sort puts
-    # each label's first visit at the head of its run
-    order = (np.argsort(rows, axis=1, kind="stable")
-             + n * np.arange(rows.shape[0])[:, None]).ravel()
-    ranked = rows.ravel()[order]
-    head = np.empty(order.size, dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
-    head[::n] = True
-    first = order[head]  # each label's first visit, runs in sorted order
-    visit = np.zeros(order.size, dtype=bool)
-    visit[first] = True
-    # a first visit's new label counts the first visits before it in its row
-    new_label = np.cumsum(visit.reshape(rows.shape), axis=1).ravel() - 1
-    out = np.empty(order.size, dtype=np.int64)
-    out[order] = new_label[first][np.cumsum(head) - 1]
-    return out.reshape(labels.shape)
+    if rows.size == 0:
+        return np.zeros(labels.shape, dtype=np.int64)
+    if rows.dtype.kind != "i" or rows.min() < 0 or rows.max() >= n:
+        rows = _dense_codes(rows)  # now in [0, N), first visits unchanged
+    # each label's first visit, by one scatter-min of the positions; the
+    # first visits then number the labels in the order they occur
+    p, k = rows.shape[0], int(rows.max()) + 1
+    base = np.arange(p)[:, None]
+    flat = (rows + k * base).ravel()
+    pos = np.arange(n)
+    first = np.full(p * k, n)
+    np.minimum.at(first, flat, np.tile(pos, p))
+    visit = first[flat].reshape(p, n)  # the first visit of each node's label
+    label = np.cumsum(visit == pos, axis=1).ravel() - 1
+    return label[visit + n * base].reshape(labels.shape)
+
+
+def _dense_codes(rows: np.ndarray) -> np.ndarray:
+    """Each (P, N) row's labels as their rank among the row's distinct values."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    head = np.ones(rows.shape, dtype=bool)
+    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    codes = np.empty(rows.shape, dtype=np.int64)
+    np.put_along_axis(codes, order, np.cumsum(head, axis=1) - 1, axis=1)
+    return codes
 
 
 def _gather_limit(n: int) -> int:
@@ -121,8 +138,10 @@ def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.
     k = int(rows.max()) + 1
     sizes = np.bincount((rows + k * np.arange(p)[:, None]).ravel(), minlength=p * k)
     sums = np.zeros(p * k)
-    # nodes grouped by row and label, each cluster's in node order
-    members = np.argsort(rows, axis=1, kind="stable").ravel()
+    # nodes grouped by row and label, each cluster's in node order; a stable
+    # order does not depend on the key type, and numpy radix-sorts 16-bit keys
+    keys = rows.astype(np.int16) if k <= np.iinfo(np.int16).max else rows
+    members = np.argsort(keys, axis=1, kind="stable").ravel()
     starts = np.cumsum(sizes) - sizes
     flat_corr = corr.ravel()
 
@@ -212,67 +231,97 @@ def kmeans_hamiltonian(labeling, corr: CorrelationMatrix) -> float:
     return _kmeans_from_sums(*_labeling_sums(labeling, corr))
 
 
-def _distinct_pair(rng: np.random.Generator, k: int) -> tuple[int, int]:
-    """Uniform ordered pair of distinct indices in [0, k)."""
-    a = int(rng.integers(0, k))
-    b = int(rng.integers(0, k - 1))
-    if b >= a:
-        b += 1
-    return a, b
+def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One mutation per row of a (P, N) array of sequential labelings.
 
-
-def _mutate(labels: np.ndarray, k: int, kind: str, rng: np.random.Generator) -> np.ndarray:
-    """One mutation operator on a sequential labeling of k clusters, in its numbering.
-
-    The child is not resequentialized. split on an all-singleton labeling
-    and merge on a single-cluster labeling return the input.
+    Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows draw from
+    ``rng`` one at a time, in row order, and each makes the draws a
+    one-row call would; then every operator writes all of its rows at once.
+    Children stay in their parent's numbering, in [0, N), and are not
+    resequentialized. split on an all-singleton row and merge on a
+    single-cluster row copy the parent.
     """
-    n = labels.size
+    n = pop.shape[1]
+    kinds = np.asarray(kinds)
+    k_of = pop.max(axis=1) + 1
+    ks = k_of.tolist()
+    # the clusters each split row may split, its sizes >= 2, from one size table
+    split_rows = np.flatnonzero(kinds == _SPLIT)
+    sizes = np.bincount((pop[split_rows] + n * np.arange(split_rows.size)[:, None]).ravel(),
+                        minlength=split_rows.size * n).reshape(split_rows.size, n)
+    eligible = sizes >= 2
+    counts = eligible.sum(axis=1).tolist()
+    eligible = np.nonzero(eligible)[1].tolist()  # row after row
+    sizes = sizes.tolist()
 
-    if kind == "new":
-        return rng.integers(0, n, size=n)
+    # draw phase: row by row, in population order
+    rows_of = [[] for _ in MUTATION_KINDS]
+    draws_of = [[] for _ in MUTATION_KINDS]
+    s = first = 0  # the split row reached, and its first eligible cluster
+    for row, kind in enumerate(kinds.tolist()):
+        if kind == _NEW:
+            draw = rng.integers(0, n, size=n)
+        elif kind == _SPLIT:
+            count = counts[s]
+            size_row = sizes[s]
+            s += 1
+            first += count
+            if count == 0:
+                continue
+            target = eligible[first - count + int(rng.integers(0, count))]
+            size = size_row[target]
+            side = rng.integers(0, 2, size=size)
+            while np.count_nonzero(side) in (0, size):  # both sides nonempty
+                side = rng.integers(0, 2, size=size)
+            draw = (target, side)
+        elif kind == _MERGE and ks[row] < 2:
+            continue
+        elif kind == _MERGE or kind == _SWAP:  # an ordered pair of distinct indices
+            m = ks[row] if kind == _MERGE else n
+            a = int(rng.integers(0, m))
+            b = int(rng.integers(0, m - 1))
+            draw = (a, b + (b >= a))
+        elif kind == _SCRAMBLE:
+            length = int(rng.integers(2, max(2, n // 4) + 1))
+            draw = (int(rng.integers(0, n - length + 1)), length)
+        else:  # flip
+            draw = rng.integers(0, ks[row], size=ks[row])
+        rows_of[kind].append(row)
+        draws_of[kind].append(draw)
 
-    if kind == "split":
-        sizes = np.bincount(labels)
-        eligible = np.flatnonzero(sizes >= 2)
-        if eligible.size == 0:
-            return labels
-        target = int(rng.choice(eligible))
-        members = np.flatnonzero(labels == target)
-        side = rng.integers(0, 2, size=members.size).astype(bool)
-        while side.all() or not side.any():
-            side = rng.integers(0, 2, size=members.size).astype(bool)
-        out = labels.copy()
-        out[members[side]] = k
-        return out
-
-    if kind == "merge":
-        if k < 2:
-            return labels
-        a, b = _distinct_pair(rng, k)
-        out = labels.copy()
-        out[out == b] = a
-        return out
-
-    if kind == "swap":
-        i, j = _distinct_pair(rng, n)
-        out = labels.copy()
-        out[i], out[j] = out[j], out[i]
-        return out
-
-    if kind == "scramble":
-        max_len = max(2, n // 4)
-        length = int(rng.integers(2, max_len + 1))
-        start = int(rng.integers(0, n - length + 1))
-        out = labels.copy()
-        out[start:start + length] = out[start:start + length][::-1]
-        return out
-
-    if kind == "flip":
-        mapping = rng.integers(0, k, size=k)
-        return mapping[labels]
-
-    raise DomainError(f"unknown mutation kind {kind!r}")
+    # apply phase: each operator writes its rows at once
+    out = pop.copy()
+    rows, draws = rows_of[_NEW], draws_of[_NEW]
+    if rows:
+        out[rows] = np.stack(draws)
+    rows, draws = rows_of[_SPLIT], draws_of[_SPLIT]
+    if rows:
+        targets, sides = zip(*draws)
+        hit, col = np.nonzero(pop[rows] == np.array(targets)[:, None])  # members in node order
+        moved = np.concatenate(sides).astype(bool)
+        out[np.array(rows)[hit[moved]], col[moved]] = k_of[rows][hit[moved]]
+    rows, draws = rows_of[_MERGE], draws_of[_MERGE]
+    if rows:
+        a, b = np.array(draws).T
+        parents = pop[rows]
+        out[rows] = np.where(parents == b[:, None], a[:, None], parents)
+    rows, draws = rows_of[_SWAP], draws_of[_SWAP]
+    if rows:
+        i, j = np.array(draws).T
+        out[rows, i], out[rows, j] = pop[rows, j], pop[rows, i]
+    rows, draws = rows_of[_SCRAMBLE], draws_of[_SCRAMBLE]
+    if rows:
+        start, length = np.array(draws).T[:, :, None]
+        offset = np.arange(n) - start
+        inside = (offset >= 0) & (offset < length)
+        source = np.where(inside, start + length - 1 - offset, np.arange(n))
+        out[rows] = np.take_along_axis(pop[rows], source, axis=1)
+    rows, draws = rows_of[_FLIP], draws_of[_FLIP]
+    if rows:
+        # the rows' mappings laid end to end, each k_of[row] long
+        base = np.cumsum(k_of[rows]) - k_of[rows]
+        out[rows] = np.concatenate(draws)[base[:, None] + pop[rows]]
+    return out
 
 
 def mutate(labeling, kind: str, rng: np.random.Generator) -> np.ndarray:
@@ -281,8 +330,10 @@ def mutate(labeling, kind: str, rng: np.random.Generator) -> np.ndarray:
     split on an all-singleton labeling and merge on a single-cluster
     labeling are no-ops returning the input partition.
     """
+    if kind not in MUTATION_KINDS:
+        raise DomainError(f"unknown mutation kind {kind!r}")
     labels = sequentialize(labeling)
-    return sequentialize(_mutate(labels, int(labels.max()) + 1, kind, rng))
+    return sequentialize(_mutate_rows(labels[None], [MUTATION_KINDS.index(kind)], rng))[0]
 
 
 def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
@@ -327,9 +378,7 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
     for _ in range(max_generations):
         generations += 1
         kinds = rng.integers(0, len(MUTATION_KINDS), size=pop_size)
-        children = sequentialize(np.stack([
-            _mutate(parent, k, MUTATION_KINDS[kind], rng)
-            for parent, k, kind in zip(pop, (pop.max(axis=1) + 1).tolist(), kinds.tolist())]))
+        children = sequentialize(_mutate_rows(pop, kinds, rng))
         # a child equal to its parent keeps the parent's fitness: a labeling
         # scores the same bits in any batch
         same = (children == pop).all(axis=1)

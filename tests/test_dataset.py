@@ -299,6 +299,19 @@ class TestEnvelopes:
         np.testing.assert_array_equal(back.values[mask], vals[mask])
         assert back.row_ids == ["x", "y", "z"]
 
+    def test_data_envelope_text_matches_per_cell_form(self):
+        rng = np.random.default_rng(6)
+        vals = rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-300, 300, size=(9, 7))
+        vals[0, :3] = [-0.0, 0.0, 5e-324]
+        mask = rng.random((9, 7)) < 0.8
+        mask[0, :3] = True
+        vals[~mask & (rng.random((9, 7)) < 0.5)] = np.nan  # a blank cell's value is not read
+        dm = DataMatrix(vals, mask)
+        per_cell = [[vals[i, j] if mask[i, j] else None for j in range(7)] for i in range(9)]
+        doc = dm.to_envelope()
+        assert json.dumps(doc) == json.dumps({**doc, "values": per_cell})
+        assert "-0.0, 0.0, 5e-324" in json.dumps(doc["values"])
+
     def test_correlation_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         vals = rng.normal(size=(5, 9))

@@ -4,10 +4,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinclust import fspc
+from spinclust.cli import main
 from spinclust.dataset import CorrelationMatrix
 from spinclust.errors import DegenerateClusterError, DomainError
 from spinclust.evaluation import adjusted_rand_index
@@ -17,6 +18,7 @@ from spinclust.fspc import (
     _gather_limit,
     _kmeans_from_sums,
     _lc_from_sums,
+    _mutate_rows,
     cluster_stats,
     ga_run,
     kmeans_hamiltonian,
@@ -72,6 +74,46 @@ def cluster_sums_reference(labels, corr):
     return sizes, sums
 
 
+def mutate_reference(labels, kind, rng):
+    """One operator on one sequential labeling, child by child, kept as the oracle.
+
+    The child stays in its parent's numbering; split on all singletons and
+    merge on one cluster return the parent.
+    """
+    n, k = labels.size, int(labels.max()) + 1
+
+    def distinct_pair(m):
+        a = int(rng.integers(0, m))
+        b = int(rng.integers(0, m - 1))
+        return a, b + (b >= a)
+
+    out = labels.copy()
+    if kind == "new":
+        return rng.integers(0, n, size=n)
+    if kind == "split":
+        eligible = np.flatnonzero(np.bincount(labels) >= 2)
+        if eligible.size:
+            members = np.flatnonzero(labels == rng.choice(eligible))
+            side = rng.integers(0, 2, size=members.size).astype(bool)
+            while side.all() or not side.any():
+                side = rng.integers(0, 2, size=members.size).astype(bool)
+            out[members[side]] = k
+    elif kind == "merge":
+        if k >= 2:
+            a, b = distinct_pair(k)
+            out[labels == b] = a
+    elif kind == "swap":
+        i, j = distinct_pair(n)
+        out[i], out[j] = labels[j], labels[i]
+    elif kind == "scramble":
+        length = int(rng.integers(2, max(2, n // 4) + 1))
+        start = int(rng.integers(0, n - length + 1))
+        out[start:start + length] = labels[start:start + length][::-1]
+    else:
+        out = rng.integers(0, k, size=k)[labels]
+    return out
+
+
 LABELING_SHAPES = ("random", "few", "singletons", "giant", "edge")
 
 
@@ -111,6 +153,21 @@ class TestSequentialize:
         for row, got in zip(labels, out):
             np.testing.assert_array_equal(got, sequentialize_reference(row))
             np.testing.assert_array_equal(got, sequentialize(row))
+
+
+    @pytest.mark.parametrize("span", ["in_range", "negative", "huge"])
+    @given(p=st.integers(1, 5), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_unique_reference(self, span, p, n, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=(p, n))
+        if span == "negative":
+            labels -= int(rng.integers(1, 3 * n + 1))
+        elif span == "huge":
+            labels = labels * (2**62 // n) + 2**62
+        out = sequentialize(labels)
+        assert out.dtype == np.int64
+        for row, got in zip(labels, out):
+            np.testing.assert_array_equal(got, sequentialize_reference(row))
 
 
 class TestClusterSums:
@@ -258,12 +315,14 @@ class TestMutate:
             self.valid(out, n)
 
     def test_swap_positions_exchange(self):
-        # seed chosen so the drawn positions are 1 and 2
-        from spinclust.fspc import _distinct_pair
-
+        # seed chosen so the drawn positions are 1 and 2; swap draws a
+        # position in [0, 4), then one of the 3 others
         for seed in range(200):
-            probe = _distinct_pair(np.random.default_rng(seed), 4)
-            if sorted(probe) == [1, 2]:
+            probe = np.random.default_rng(seed)
+            i = int(probe.integers(0, 4))
+            j = int(probe.integers(0, 3))
+            j += j >= i
+            if sorted((i, j)) == [1, 2]:
                 out = mutate(np.array([0, 0, 1, 1]), "swap",
                              np.random.default_rng(seed))
                 np.testing.assert_array_equal(out, [0, 1, 0, 1])
@@ -340,6 +399,59 @@ class TestMutate:
         assert h.hexdigest() == self.GOLDEN[kind]
 
 
+class TestMutateRows:
+    @given(st.integers(1, 6), st.integers(2, 30),
+           st.lists(st.sampled_from(("random", "few", "singletons", "giant")), min_size=6,
+                    max_size=6),
+           st.lists(st.integers(0, len(MUTATION_KINDS) - 1), min_size=6, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @example(1, 2, ["singletons"] * 6, [1] * 6, 0)  # split on all singletons: a copy
+    @example(1, 2, ["giant"] * 6, [2] * 6, 0)       # merge on one cluster: a copy
+    @example(6, 2, ["random"] * 6, list(range(6)), 1)
+    def test_batch_equals_rows_and_reference(self, p, n, shapes, kinds, seed):
+        rng = np.random.default_rng(seed)
+        pop = np.stack([make_labeling(rng, n, shapes[i]) for i in range(p)])
+        kinds = np.array(kinds[:p])
+        batch_rng, row_rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(3))
+        batch = _mutate_rows(pop, kinds, batch_rng)
+        for i, (parent, kind) in enumerate(zip(pop, kinds)):
+            np.testing.assert_array_equal(
+                batch[i], _mutate_rows(pop[i:i + 1], kinds[i:i + 1], row_rng)[0])
+            np.testing.assert_array_equal(
+                batch[i], mutate_reference(parent, MUTATION_KINDS[kind], ref_rng))
+        assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+        assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert batch.dtype == np.int64 and ((batch >= 0) & (batch < n)).all()
+
+
+class TestGaStream:
+    # SHA-256 of fspc result.json, recorded from the per-child operators;
+    # a change of the GA's draw stream or arithmetic changes them
+    GOLDEN = {
+        "search": "88ab66161864410acc9654f1edc65e7274da8db5ae909b424b405446c61c6165",
+        "kmeans": "1b32402a6855dbfc2e11fdb64b01127e86d0067f39ca7da299aca4731c0f25cb",
+    }
+    RUNS = {
+        # the bench search shape (N = 80 blobs in 80 dimensions, pop 100), 40 generations
+        "search": (["--n", "80", "--dims", "80", "--seed", "3"],
+                   ["--pop", "100", "--gens", "40", "--stall", "100", "--seed", "3"]),
+        "kmeans": (["--n", "30", "--dims", "5", "--seed", "4"],
+                   ["--pop", "20", "--gens", "120", "--stall", "120", "--seed", "4",
+                    "--objective", "kmeans"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_result_json_golden(self, name, tmp_path, monkeypatch):
+        blobs, ga = self.RUNS[name]
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "blobs", *blobs, "--output", "data.csv"]) == 0
+        assert main(["preprocess", "--input", "data.csv", "--corr", "similarity",
+                     "--output", "sim.json"]) == 0
+        assert main(["fspc", "--corr", "sim.json", *ga, "--output", "result.json"]) == 0
+        digest = hashlib.sha256((tmp_path / "result.json").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[name]
+
+
 def planted_two_block_corr(n=20, rho=0.8):
     c = np.zeros((n, n))
     half = n // 2
@@ -412,11 +524,11 @@ class TestGaRun:
         unpatched = ga_run(corr, **run).to_dict()
 
         parents, expected, scored = [], [20], [0]
-        mutate_child, relabel, sums = fspc._mutate, fspc.sequentialize, fspc._cluster_sums
+        mutate_rows, relabel, sums = fspc._mutate_rows, fspc.sequentialize, fspc._cluster_sums
 
-        def mutate_counted(parent, *args):
-            parents.append(parent.copy())
-            return mutate_child(parent, *args)
+        def mutate_counted(pop, *args):
+            parents.extend(pop.copy())
+            return mutate_rows(pop, *args)
 
         def relabel_counted(labels):
             out = relabel(labels)
@@ -429,7 +541,7 @@ class TestGaRun:
             scored[0] += np.atleast_2d(labels).shape[0]
             return sums(labels, c)
 
-        monkeypatch.setattr(fspc, "_mutate", mutate_counted)
+        monkeypatch.setattr(fspc, "_mutate_rows", mutate_counted)
         monkeypatch.setattr(fspc, "sequentialize", relabel_counted)
         monkeypatch.setattr(fspc, "_cluster_sums", sums_counted)
         res = ga_run(corr, **run)
