@@ -257,7 +257,11 @@ def cmd_fspc(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    sweep = sweep_from_json(read_json(args.sweep))
+    sweep_doc = read_json(args.sweep)
+    try:
+        sweep = sweep_from_json(sweep_doc)
+    except ParseError as exc:
+        raise ParseError(f"{args.sweep}: {exc}") from None
     report = phase_report(sweep)
     doc = report.to_dict()
     md = [report.to_markdown()]

@@ -14,11 +14,10 @@ The maximizer is an elitist mutation-only genetic algorithm: every parent
 spawns one mutated child per generation, parents and children compete, and
 the run stops after a fixed number of generations without improvement.
 
-Draw order. A generation draws every child's operator first, then the
-children draw their random numbers one at a time, in population order, each
-making exactly the draws the one-child ``mutate`` makes. Only then are the
-children written, all children of one operator at once. So a seed gives the
-same run however the writes are batched.
+Draw order. A generation draws every child's operator first. Then each
+child, in population order, makes its draws, exactly those the one-child
+``mutate`` makes, and is written before the next child draws. A seed thus
+fixes the whole run.
 """
 
 from __future__ import annotations
@@ -234,93 +233,44 @@ def kmeans_hamiltonian(labeling, corr: CorrelationMatrix) -> float:
 def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One mutation per row of a (P, N) array of sequential labelings.
 
-    Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows draw from
-    ``rng`` one at a time, in row order, and each makes the draws a
-    one-row call would; then every operator writes all of its rows at once.
-    Children stay in their parent's numbering, in [0, N), and are not
-    resequentialized. split on an all-singleton row and merge on a
-    single-cluster row copy the parent.
+    Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows are mutated
+    one at a time, in row order: each makes its draws from ``rng`` and is
+    written before the next row draws. Children stay in their parent's
+    numbering, in [0, N), and are not resequentialized. split on an
+    all-singleton row and merge on a single-cluster row copy the parent.
     """
     n = pop.shape[1]
-    kinds = np.asarray(kinds)
-    k_of = pop.max(axis=1) + 1
-    ks = k_of.tolist()
-    # the clusters each split row may split, its sizes >= 2, from one size table
-    split_rows = np.flatnonzero(kinds == _SPLIT)
-    sizes = np.bincount((pop[split_rows] + n * np.arange(split_rows.size)[:, None]).ravel(),
-                        minlength=split_rows.size * n).reshape(split_rows.size, n)
-    eligible = sizes >= 2
-    counts = eligible.sum(axis=1).tolist()
-    eligible = np.nonzero(eligible)[1].tolist()  # row after row
-    sizes = sizes.tolist()
-
-    # draw phase: row by row, in population order
-    rows_of = [[] for _ in MUTATION_KINDS]
-    draws_of = [[] for _ in MUTATION_KINDS]
-    s = first = 0  # the split row reached, and its first eligible cluster
-    for row, kind in enumerate(kinds.tolist()):
+    out = pop.copy()
+    ks = (pop.max(axis=1) + 1).tolist()  # each row's cluster count
+    for parent, child, kind, k in zip(pop, out, np.asarray(kinds).tolist(), ks):
         if kind == _NEW:
-            draw = rng.integers(0, n, size=n)
-        elif kind == _SPLIT:
-            count = counts[s]
-            size_row = sizes[s]
-            s += 1
-            first += count
-            if count == 0:
+            child[:] = rng.integers(0, n, size=n)
+        elif kind == _SPLIT:  # part of a cluster of size >= 2 becomes cluster k
+            eligible = np.flatnonzero(np.bincount(parent) >= 2)
+            if eligible.size == 0:
                 continue
-            target = eligible[first - count + int(rng.integers(0, count))]
-            size = size_row[target]
-            side = rng.integers(0, 2, size=size)
-            while np.count_nonzero(side) in (0, size):  # both sides nonempty
-                side = rng.integers(0, 2, size=size)
-            draw = (target, side)
-        elif kind == _MERGE and ks[row] < 2:
-            continue
+            members = np.flatnonzero(parent == eligible[rng.integers(0, eligible.size)])
+            side = rng.integers(0, 2, size=members.size)
+            while np.count_nonzero(side) in (0, members.size):  # both sides nonempty
+                side = rng.integers(0, 2, size=members.size)
+            child[members[side == 1]] = k
         elif kind == _MERGE or kind == _SWAP:  # an ordered pair of distinct indices
-            m = ks[row] if kind == _MERGE else n
+            m = k if kind == _MERGE else n
+            if m < 2:  # a single cluster has nothing to merge
+                continue
             a = int(rng.integers(0, m))
             b = int(rng.integers(0, m - 1))
-            draw = (a, b + (b >= a))
-        elif kind == _SCRAMBLE:
+            b += b >= a
+            if kind == _MERGE:
+                child[parent == b] = a
+            else:
+                child[a], child[b] = parent[b], parent[a]
+        elif kind == _SCRAMBLE:  # reverse a slice of at least two nodes
             length = int(rng.integers(2, max(2, n // 4) + 1))
-            draw = (int(rng.integers(0, n - length + 1)), length)
-        else:  # flip
-            draw = rng.integers(0, ks[row], size=ks[row])
-        rows_of[kind].append(row)
-        draws_of[kind].append(draw)
-
-    # apply phase: each operator writes its rows at once
-    out = pop.copy()
-    rows, draws = rows_of[_NEW], draws_of[_NEW]
-    if rows:
-        out[rows] = np.stack(draws)
-    rows, draws = rows_of[_SPLIT], draws_of[_SPLIT]
-    if rows:
-        targets, sides = zip(*draws)
-        hit, col = np.nonzero(pop[rows] == np.array(targets)[:, None])  # members in node order
-        moved = np.concatenate(sides).astype(bool)
-        out[np.array(rows)[hit[moved]], col[moved]] = k_of[rows][hit[moved]]
-    rows, draws = rows_of[_MERGE], draws_of[_MERGE]
-    if rows:
-        a, b = np.array(draws).T
-        parents = pop[rows]
-        out[rows] = np.where(parents == b[:, None], a[:, None], parents)
-    rows, draws = rows_of[_SWAP], draws_of[_SWAP]
-    if rows:
-        i, j = np.array(draws).T
-        out[rows, i], out[rows, j] = pop[rows, j], pop[rows, i]
-    rows, draws = rows_of[_SCRAMBLE], draws_of[_SCRAMBLE]
-    if rows:
-        start, length = np.array(draws).T[:, :, None]
-        offset = np.arange(n) - start
-        inside = (offset >= 0) & (offset < length)
-        source = np.where(inside, start + length - 1 - offset, np.arange(n))
-        out[rows] = np.take_along_axis(pop[rows], source, axis=1)
-    rows, draws = rows_of[_FLIP], draws_of[_FLIP]
-    if rows:
-        # the rows' mappings laid end to end, each k_of[row] long
-        base = np.cumsum(k_of[rows]) - k_of[rows]
-        out[rows] = np.concatenate(draws)[base[:, None] + pop[rows]]
+            start = int(rng.integers(0, n - length + 1))
+            child[start:start + length] = parent[start:start + length][::-1]
+        else:  # flip: relabel every cluster at random
+            child[:] = rng.integers(0, k, size=k)[parent]
     return out
 
 
@@ -333,6 +283,8 @@ def mutate(labeling, kind: str, rng: np.random.Generator) -> np.ndarray:
     if kind not in MUTATION_KINDS:
         raise DomainError(f"unknown mutation kind {kind!r}")
     labels = sequentialize(labeling)
+    if labels.size < 2:
+        raise DomainError("a labeling to mutate needs at least 2 nodes")
     return sequentialize(_mutate_rows(labels[None], [MUTATION_KINDS.index(kind)], rng))[0]
 
 
@@ -356,27 +308,23 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         raise DomainError("stall_generations must be >= 1")
     if objective not in _SCORERS:
         raise DomainError(f"unknown objective {objective!r}")
-
-    score = _SCORERS[objective]
     cvals = np.asarray(corr.values, dtype=float)
     n = cvals.shape[0]
+    if n < 2:
+        raise DomainError(f"the search needs at least 2 nodes, got {n}")
 
+    score = _SCORERS[objective]
     rng = np.random.default_rng(seed)
     pop = sequentialize(np.stack([rng.integers(0, n, size=n) for _ in range(pop_size)]))
     fits = score(*_cluster_sums(pop, cvals))
 
-    best_idx = int(np.argmax(fits))
-    best_labels = pop[best_idx].copy()
-    best_fit = float(fits[best_idx])
+    best = float(fits.max())
     history: list[float] = []
     survivors = np.zeros(len(MUTATION_KINDS), dtype=np.int64)
     new_bests = np.zeros(len(MUTATION_KINDS), dtype=np.int64)
     last_improvement = 0
-    stall = 0
-    generations = 0
 
-    for _ in range(max_generations):
-        generations += 1
+    for generation in range(1, max_generations + 1):
         kinds = rng.integers(0, len(MUTATION_KINDS), size=pop_size)
         children = sequentialize(_mutate_rows(pop, kinds, rng))
         # a child equal to its parent keeps the parent's fitness: a labeling
@@ -386,6 +334,7 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         if not same.all():
             child_fits[~same] = score(*_cluster_sums(children[~same], cvals))
 
+        # a stable sort with the parents first keeps the best at the head
         all_fits = np.concatenate([fits, child_fits])
         order = np.argsort(-all_fits, kind="stable")[:pop_size]
         pop = np.concatenate([pop, children])[order]
@@ -393,18 +342,13 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         kept = kinds[order[order >= pop_size] - pop_size]
         survivors += np.bincount(kept, minlength=len(MUTATION_KINDS))
 
-        if fits[0] > best_fit:
-            # only a child can beat the best, which every generation keeps
-            best_fit = float(fits[0])
-            best_labels = pop[0].copy()
+        if fits[0] > best:  # only a child can beat the best parent
+            best = float(fits[0])
             new_bests[kinds[order[0] - pop_size]] += 1
-            last_improvement = generations
-            stall = 0
-        else:
-            stall += 1
-        history.append(best_fit)
-        if stall >= stall_generations:
+            last_improvement = generation
+        history.append(best)
+        if generation - last_improvement >= stall_generations:
             break
 
-    return GaResult(best_labels, best_fit, history, generations,
+    return GaResult(pop[0].copy(), best, history, generation,
                     survivors, new_bests, last_improvement)

@@ -17,13 +17,14 @@ from which the final clusters are read by thresholding at theta.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .similarity import NeighborGraph, StrengthGraph
 
 
@@ -81,19 +82,72 @@ class TemperatureStats:
         return rec
 
 
+# JSON numbers parse to int or float (a sweep built in memory may also hold
+# float subclasses such as np.float64); a bool is neither
+def _is_number(value) -> bool:
+    return (type(value) is int or isinstance(value, float)) and math.isfinite(value)
+
+
+def _is_index(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_edge(value) -> bool:
+    return (isinstance(value, list) and len(value) == 3 and _is_index(value[0])
+            and _is_index(value[1]) and _is_number(value[2]))
+
+
+def _record_value(rec: dict, key: str, ok, what: str):
+    """``rec[key]``, or a ParseError naming the key when it is missing or not ``ok``."""
+    if key not in rec:
+        raise ParseError(f"missing key {key!r}")
+    value = rec[key]
+    if not ok(value):
+        raise ParseError(f"key {key!r} is {value!r}, not {what}")
+    return value
+
+
+def _record_list(rec: dict, key: str, ok, what: str) -> list:
+    """``rec[key]`` as a list of ``ok`` items; a ParseError names the first other item."""
+    items = _record_value(rec, key, lambda v: isinstance(v, list), "a list")
+    bad = next((k for k, item in enumerate(items) if not ok(item)), None)
+    if bad is not None:
+        raise ParseError(f"key {key!r}: item {bad} is {items[bad]!r}, not {what}")
+    return items
+
+
 def stats_from_record(rec: dict) -> TemperatureStats:
-    """Rebuild TemperatureStats from its JSON record (edge G defaults to empty)."""
-    g_edges = np.asarray(rec.get("g_edges", []), dtype=float).reshape(-1, 3)
+    """Rebuild TemperatureStats from its JSON record (edge G defaults to empty).
+
+    A record that is not an object, lacks a key read here or holds a value of
+    the wrong JSON type is a ParseError naming the key. Numbers are finite,
+    labels are JSON integers in [0, N), N the label count, and ``g_edges``,
+    when present, holds ``[i, j, G]`` triples of two node indices and a number.
+    """
+    if not isinstance(rec, dict):
+        raise ParseError("record is not a JSON object")
+    scalars = {key: float(_record_value(rec, key, _is_number, "a finite number"))
+               for key in ("T", "mean_m", "chi", "mean_H", "h_max")}
+    counts = {key: _record_value(rec, key, lambda v: type(v) is int, "an integer")
+              for key in ("n_samples", "q")}
+    n = len(_record_value(rec, "labels", lambda v: isinstance(v, list) and v, "a non-empty list"))
+    labels = _record_list(rec, "labels", lambda v: _is_index(v) and v < n,
+                          f"an integer in [0, {n})")
+    energies = _record_list(rec, "energy_samples", _is_number, "a finite number")
+    edges = []
+    if "g_edges" in rec:
+        edges = _record_list(rec, "g_edges", _is_edge, "an [i, j, G] triple")
+    g_edges = np.asarray(edges, dtype=float).reshape(-1, 3)
     return TemperatureStats(
-        temperature=float(rec["T"]),
-        mean_magnetization=float(rec["mean_m"]),
-        susceptibility=float(rec["chi"]),
-        mean_energy=float(rec["mean_H"]),
-        energy_samples=np.asarray(rec["energy_samples"], dtype=float),
-        n_samples=int(rec["n_samples"]),
-        labeling=np.asarray(rec["labels"], dtype=np.int64),
-        q=int(rec["q"]),
-        h_max=float(rec["h_max"]),
+        temperature=scalars["T"],
+        mean_magnetization=scalars["mean_m"],
+        susceptibility=scalars["chi"],
+        mean_energy=scalars["mean_H"],
+        energy_samples=np.asarray(energies, dtype=float),
+        n_samples=counts["n_samples"],
+        labeling=np.asarray(labels, dtype=np.int64),
+        q=counts["q"],
+        h_max=scalars["h_max"],
         edge_i=g_edges[:, 0].astype(np.int64),
         edge_j=g_edges[:, 1].astype(np.int64),
         edge_g=g_edges[:, 2].copy(),
@@ -351,6 +405,26 @@ def sweep_to_json(sweep: list[TemperatureStats], params: dict | None = None,
 
 
 def sweep_from_json(doc: dict) -> list[TemperatureStats]:
+    """The sweep of an ``spc_sweep`` document.
+
+    A malformed document is a ParseError naming the record (0-based) and the
+    key; every record must hold as many labels as record 0.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError("sweep document is not a JSON object")
     if doc.get("kind") != "spc_sweep":
         raise DomainError("not a sweep document")
-    return [stats_from_record(rec) for rec in doc["records"]]
+    records = doc.get("records")
+    if not isinstance(records, list):
+        raise ParseError("key 'records' is missing or not a list")
+    sweep = []
+    for index, rec in enumerate(records):
+        try:
+            st = stats_from_record(rec)
+            if sweep and st.labeling.size != sweep[0].labeling.size:
+                raise ParseError(f"key 'labels' holds {st.labeling.size} labels, "
+                                 f"record 0 holds {sweep[0].labeling.size}")
+        except ParseError as exc:
+            raise ParseError(f"record {index}: {exc}") from None
+        sweep.append(st)
+    return sweep

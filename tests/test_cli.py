@@ -48,6 +48,24 @@ def write_price_panel(path, seed=0, series=18, days=60, sectors=3, blank=0.05):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+DROP = object()
+
+
+def edited(doc, path, value):
+    """``doc`` with the item at ``path`` (keys and indices) set to ``value``, or dropped."""
+    if not path:
+        return value
+    *head, last = path
+    target = doc
+    for step in head:
+        target = target[step]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
 def readme_commands():
     """Every `spinclust ...` command in README's fenced blocks, as argv without the name."""
     blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(), flags=re.S | re.M)
@@ -530,6 +548,18 @@ class TestUsageErrors:
         assert run(sub, flag, str(bad), "--output", str(tmp_path / "out")) == 1
         assert "bad.json: invalid JSON" in capsys.readouterr().err
 
+    def test_one_node_fspc_exit_1(self, capsys, tmp_path):
+        env = tmp_path / "corr.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": ["a"], "col_ids": ["a"],
+                                   "values": [[1.0]]}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("fspc", "--corr", str(env), "--pop", "4", "--gens", "5",
+                   "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: the search needs at least 2 nodes, got 1"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("stall", ["0", "-5"])
     def test_stall_below_one_exit_1(self, stall, capsys, tmp_path):
         env = tmp_path / "corr.json"
@@ -548,6 +578,50 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(tmp_path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value, expect", [
+        ((), [], "sweep document is not a JSON object"),
+        (("records",), DROP, "key 'records' is missing or not a list"),
+        (("records",), {"0": {}}, "key 'records' is missing or not a list"),
+        (("records", 2), 5, "record 2: record is not a JSON object"),
+        (("records", 1, "mean_m"), DROP, "record 1: missing key 'mean_m'"),
+        (("records", 0, "T"), "0.01", "record 0: key 'T' is '0.01', not a finite number"),
+        (("records", 0, "chi"), True, "record 0: key 'chi' is True, not a finite number"),
+        (("records", 3, "mean_H"), float("nan"),
+         "record 3: key 'mean_H' is nan, not a finite number"),
+        (("records", 4, "q"), 20.0, "record 4: key 'q' is 20.0, not an integer"),
+        (("records", 3, "labels", 5), -1,
+         "record 3: key 'labels': item 5 is -1, not an integer in [0, 36)"),
+        (("records", 3, "labels", 5), 1.0,
+         "record 3: key 'labels': item 5 is 1.0, not an integer in [0, 36)"),
+        (("records", 0, "labels", 0), 10**12,
+         "record 0: key 'labels': item 0 is 1000000000000, not an integer in [0, 36)"),
+        (("records", 5, "labels"), [], "record 5: key 'labels' is [], not a non-empty list"),
+        (("records", 4, "labels"), [0] * 35,
+         "record 4: key 'labels' holds 35 labels, record 0 holds 36"),
+        (("records", 6, "labels"), [0] * 37,
+         "record 6: key 'labels' holds 37 labels, record 0 holds 36"),
+        (("records", 2, "energy_samples", 1), "x",
+         "record 2: key 'energy_samples': item 1 is 'x', not a finite number"),
+        (("records", 2, "energy_samples", 0), float("inf"),
+         "record 2: key 'energy_samples': item 0 is inf, not a finite number"),
+        (("records", 1, "g_edges"), [[0, 1, 0.5], [0, 1]],
+         "record 1: key 'g_edges': item 1 is [0, 1], not an [i, j, G] triple"),
+        (("records", 7, "g_edges"), [[0, -1, 0.5]],
+         "record 7: key 'g_edges': item 0 is [0, -1, 0.5], not an [i, j, G] triple"),
+    ], ids=["not_object", "no_records", "records_not_list", "record_not_object",
+            "missing_key", "string_number", "bool_number", "nan_number", "float_count",
+            "negative_label",
+            "float_label", "label_past_count", "no_labels", "short_labels", "long_labels",
+            "string_energy", "infinite_energy", "pair_edge", "negative_edge_node"])
+    def test_malformed_sweep_exit_1(self, path, value, expect, pipeline, capsys, tmp_path):
+        _, _, _, sweep, _ = pipeline
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(json.loads(sweep.read_text()), path, value)))
+        capsys.readouterr()
+        assert run("validate", "--sweep", str(bad), "--output", str(tmp_path / "rep")) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {expect}"]
+        assert not list(tmp_path.glob("rep*"))
 
     def test_missing_required_flag_exit_2(self):
         assert run("fspc") == 2

@@ -371,6 +371,15 @@ class TestMutate:
         with pytest.raises(DomainError):
             mutate(np.zeros(3, dtype=int), "invert", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind", MUTATION_KINDS)
+    @pytest.mark.parametrize("labels", [[0], []], ids=["one_node", "empty"])
+    def test_fewer_than_two_nodes_rejected_before_any_draw(self, kind, labels):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="at least 2 nodes"):
+            mutate(np.array(labels, dtype=int), kind, rng)
+        assert rng.bit_generator.state == state
+
     # SHA-256 of 60 seeded mutate outputs per kind, recorded from the
     # per-child implementation that relabeled with np.unique
     GOLDEN = {
@@ -430,6 +439,7 @@ class TestGaStream:
     GOLDEN = {
         "search": "88ab66161864410acc9654f1edc65e7274da8db5ae909b424b405446c61c6165",
         "kmeans": "1b32402a6855dbfc2e11fdb64b01127e86d0067f39ca7da299aca4731c0f25cb",
+        "stall": "012c53a9f25a1d9eeddc3efaad691aa7a5cdf7b263965f6dd2c61df3b35d06fb",
     }
     RUNS = {
         # the bench search shape (N = 80 blobs in 80 dimensions, pop 100), 40 generations
@@ -438,6 +448,9 @@ class TestGaStream:
         "kmeans": (["--n", "30", "--dims", "5", "--seed", "4"],
                    ["--pop", "20", "--gens", "120", "--stall", "120", "--seed", "4",
                     "--objective", "kmeans"]),
+        # stops by stalling: generation 174, 30 after its last improvement at 144
+        "stall": (["--n", "30", "--dims", "5", "--seed", "4"],
+                  ["--pop", "20", "--gens", "2000", "--stall", "30", "--seed", "4"]),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -595,6 +608,10 @@ class TestGaRun:
             ga_run(corr, max_generations=0)
         with pytest.raises(DomainError):
             ga_run(corr, objective="entropy")
+
+    def test_one_node_rejected(self):
+        with pytest.raises(DomainError, match="at least 2 nodes, got 1"):
+            ga_run(CorrelationMatrix(np.eye(1), "pearson"), pop_size=4, max_generations=5)
 
     def test_result_round_trip_dict(self):
         corr, _ = planted_two_block_corr(n=8)
