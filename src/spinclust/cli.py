@@ -260,9 +260,9 @@ def cmd_validate(args) -> int:
     sweep_doc = read_json(args.sweep)
     try:
         sweep = sweep_from_json(sweep_doc)
-    except ParseError as exc:
-        raise ParseError(f"{args.sweep}: {exc}") from None
-    report = phase_report(sweep)
+        report = phase_report(sweep)
+    except (ParseError, DomainError) as exc:  # the file is at fault: name it
+        raise type(exc)(f"{args.sweep}: {exc}") from None
     doc = report.to_dict()
     md = [report.to_markdown()]
 

@@ -14,16 +14,24 @@ The maximizer is an elitist mutation-only genetic algorithm: every parent
 spawns one mutated child per generation, parents and children compete, and
 the run stops after a fixed number of generations without improvement.
 
-Draw order. A generation draws every child's operator first. Then each
-child, in population order, makes its draws, exactly those the one-child
-``mutate`` makes, and is written before the next child draws. A seed thus
-fixes the whole run.
+Draw order. Every random number of the search is read from the seed's
+PCG64 stream of 32-bit words: each 64-bit output gives its low half, then
+its high half. A draw in [0, r) takes words by Lemire's rule, as
+``Generator.integers`` does: a word w gives (w * r) >> 32, a word with
+(w * r) mod 2**32 < 2**32 mod r is skipped, and a range-1 draw takes no
+word. The initial population draws row after row. A generation draws every
+child's operator, then each child, in population order, makes exactly the
+draws the one-child ``mutate`` makes. The search reads the stream in bulk,
+and ``_mutate_rows`` works out which words each child takes, so the draws
+are those of ``integers`` calls made one after another. A seed thus fixes
+the whole run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,6 +42,8 @@ MUTATION_KINDS = ("new", "split", "merge", "swap", "scramble", "flip")
 _NEW, _SPLIT, _MERGE, _SWAP, _SCRAMBLE, _FLIP = range(len(MUTATION_KINDS))
 
 _UPPER_MARGIN = 1e-9
+_WORD = 0xFFFFFFFF  # the low 32 bits
+_READ = 256  # the fewest 64-bit outputs _Words reads at a time
 
 # _cluster_sums sums clusters of up to max(_GATHER_FLOOR, N // _GATHER_DIVISOR)
 # members pair by pair, to the bit as a per-cluster loop would, and larger
@@ -230,47 +240,206 @@ def kmeans_hamiltonian(labeling, corr: CorrelationMatrix) -> float:
     return _kmeans_from_sums(*_labeling_sums(labeling, corr))
 
 
-def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _lemire(words, r):
+    """Lemire's draws in [0, r) from 32-bit words: (values, rejected).
+
+    ``Generator.integers`` below 2**32 takes one word per try and skips a
+    rejected one. ``words`` and ``r`` are Python ints, or arrays with ``r``
+    of dtype uint64.
+    """
+    m = words * r
+    return m >> 32, (m & _WORD) < (1 << 32) % r
+
+
+class _Words:
+    """A cursor over the 32-bit words that a PCG64 Generator's draws take.
+
+    Each 64-bit output gives its low half, then its high half; a half left
+    buffered by an earlier draw comes first. ``read(count)`` makes at least
+    ``count`` words available from the cursor on in ``words``, and their top
+    bits, the values of range-2 draws, as the bytes ``top``. ``take(used)``
+    moves the cursor past ``used`` words. ``close()`` gives back the words
+    read but not taken and leaves the Generator's state as one-word draws
+    of the words taken would.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bits = rng.bit_generator
+        if not isinstance(self._bits, np.random.PCG64):
+            raise DomainError("the GA draws from a PCG64 generator, "
+                              f"got {type(self._bits).__name__}")
+        self._state = self._bits.state
+        self._buffered = self._state["has_uint32"]
+        self._raw = 0  # 64-bit outputs read
+        self._taken = 0  # words taken
+        self._last = 0  # the last word taken
+        self.words = np.array([self._state["uinteger"]] * self._buffered, dtype=np.uint32)
+        self.top = (self.words >= 1 << 31).tobytes()
+
+    def read(self, count: int) -> None:
+        short = count - self.words.size
+        if short > 0:
+            raw = self._bits.random_raw(max((short + 1) // 2, _READ))
+            self._raw += raw.size
+            halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
+            self.words = np.concatenate([self.words, halves]).astype(np.uint32, copy=False)
+            self.top = (self.words >= 1 << 31).tobytes()
+
+    def take(self, used: int) -> None:
+        if used:
+            self._last = int(self.words[used - 1])
+            self._taken += used
+            self.words, self.top = self.words[used:], self.top[used:]
+
+    def close(self) -> None:
+        state = self._state
+        if self._taken:
+            taken = self._taken - self._buffered  # words taken from the outputs read
+            raw = (taken + 1) // 2
+            if raw < self._raw:
+                self._bits.advance(2**128 - (self._raw - raw))
+            state = self._bits.state
+            state["has_uint32"] = taken % 2
+            # integers leaves the last output's high half behind, taken or not
+            state["uinteger"] = (int(self.words[0]) if taken % 2
+                                 else self._last if taken else self._state["uinteger"])
+        self._bits.state = state
+
+
+def _integers(high: int, size: int, words: _Words) -> np.ndarray:
+    """``Generator.integers(0, high, size=size)`` for high < 2**32, from ``words``."""
+    if high == 1:
+        return np.zeros(size, dtype=np.int64)
+    count = size
+    while True:
+        words.read(count)
+        values, rejected = _lemire(words.words[:count], np.uint64(high))
+        kept = np.flatnonzero(~rejected)
+        if kept.size >= size:
+            break
+        count += size - kept.size
+    words.take(int(kept[size - 1]) + 1 if size else 0)
+    return values[kept[:size]].astype(np.int64)
+
+
+def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, words: _Words) -> np.ndarray:
     """One mutation per row of a (P, N) array of sequential labelings.
 
-    Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows are mutated
-    one at a time, in row order: each makes its draws from ``rng`` and is
-    written before the next row draws. Children stay in their parent's
+    Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows take their
+    draws from ``words`` in row order, the words one-row calls made one
+    after another would take. Children stay in their parent's
     numbering, in [0, N), and are not resequentialized. split on an
     all-singleton row and merge on a single-cluster row copy the parent.
     """
-    n = pop.shape[1]
+    p, n = pop.shape
+    kinds = np.asarray(kinds)
+    ks = pop.max(axis=1) + 1  # each row's cluster count
+    is_kind = kinds == np.arange(len(MUTATION_KINDS))[:, None]
+
+    # every row but split makes a fixed list of draws, laid end to end: a
+    # count, the first draw's range and the others'. A range-1 draw takes
+    # no word. scramble's start has range n - length + 1; n - 1 stands in
+    # until its length is drawn, and takes a word the same way
+    #                count  first                other
+    spec = np.array([[n,     n,                   n],          # new
+                     [0,     1,                   1],          # split, drawn below
+                     [2,     0,                   -1],         # merge, plus k
+                     [2,     n,                   n - 1],      # swap
+                     [2,     max(2, n // 4) - 1,  n - 1],      # scramble
+                     [0,     0,                   0]])[kinds]  # flip, plus k
+    spec[is_kind[_MERGE], 1:] += ks[is_kind[_MERGE], None]
+    spec[is_kind[_FLIP]] += ks[is_kind[_FLIP], None]
+    spec[is_kind[_MERGE] & (ks < 2), 0] = 0  # a single cluster has nothing to merge
+    count, first, other = spec.T
+    row = np.arange(p).repeat(count)
+    start = count.cumsum() - count
+    ranges = other[row].astype(np.uint64)
+    ranges[start[count > 0]] = first[count > 0]
+    takes = (ranges > 1).astype(np.int64)
+    scramble = start[is_kind[_SCRAMBLE]]
+
+    # split: the clusters of at least two members, row after row
+    split = is_kind[_SPLIT].nonzero()[0]
+    sizes = np.bincount((pop[split] + n * np.arange(split.size)[:, None]).ravel(),
+                        minlength=split.size * n).reshape(split.size, n)
+    owner, cluster = (sizes >= 2).nonzero()
+    eligible = np.bincount(owner, minlength=split.size).tolist()
+    offsets = list(accumulate(eligible, initial=0))
+    member_counts = sizes[owner, cluster].tolist()
+
+    words.read(int(takes.sum()) + 2 * int(sizes.max(axis=1, initial=0).sum()) + split.size + 1)
+    extra = np.zeros(row.size, dtype=np.int64)  # rejected words before each draw
+    while True:
+        edges = np.zeros(row.size + 1, dtype=np.int64)
+        (takes + extra).cumsum(out=edges[1:])
+        before = edges[start[split]].tolist()  # other rows' words before each split
+
+        # split rows one at a time: the cluster, then tries of one word per
+        # member until both sides are nonempty
+        picks, tries, blocks = [-1] * split.size, [0] * split.size, [0] * split.size
+        shift = 0  # words taken by the split rows so far
+        for j, (c, at) in enumerate(zip(eligible, before)):
+            if c == 0:
+                continue
+            at += shift
+            pick = 0
+            while c > 1:
+                words.read(at + 1)
+                pick, rejected = _lemire(int(words.words[at]), c)
+                at += 1
+                if not rejected:
+                    break
+            picks[j] = offsets[j] + pick
+            size = member_counts[picks[j]]
+            words.read(at + size)
+            while words.top.count(1, at, at + size) in (0, size):
+                at += size
+                words.read(at + size)
+            tries[j] = at
+            blocks[j] = at + size - before[j] - shift
+            shift += blocks[j]
+
+        used = int(edges[-1]) + shift
+        words.read(used + 1)  # a last draw of range 1 points one word past them
+        after = np.zeros(p, dtype=np.int64)
+        after[split] = blocks
+        word = words.words[edges[:-1] + extra + after.cumsum()[row]]
+        ranges[scramble + 1] = n - 1 - _lemire(word[scramble], ranges[scramble])[0]
+        values, rejected = _lemire(word, ranges)
+        if not rejected.any():
+            break
+        extra[rejected.argmax()] += 1  # the first rejected draw takes the next word
+
+    # each row's values lie at start[row] onward
     out = pop.copy()
-    ks = (pop.max(axis=1) + 1).tolist()  # each row's cluster count
-    for parent, child, kind, k in zip(pop, out, np.asarray(kinds).tolist(), ks):
-        if kind == _NEW:
-            child[:] = rng.integers(0, n, size=n)
-        elif kind == _SPLIT:  # part of a cluster of size >= 2 becomes cluster k
-            eligible = np.flatnonzero(np.bincount(parent) >= 2)
-            if eligible.size == 0:
-                continue
-            members = np.flatnonzero(parent == eligible[rng.integers(0, eligible.size)])
-            side = rng.integers(0, 2, size=members.size)
-            while np.count_nonzero(side) in (0, members.size):  # both sides nonempty
-                side = rng.integers(0, 2, size=members.size)
-            child[members[side == 1]] = k
-        elif kind == _MERGE or kind == _SWAP:  # an ordered pair of distinct indices
-            m = k if kind == _MERGE else n
-            if m < 2:  # a single cluster has nothing to merge
-                continue
-            a = int(rng.integers(0, m))
-            b = int(rng.integers(0, m - 1))
-            b += b >= a
-            if kind == _MERGE:
-                child[parent == b] = a
-            else:
-                child[a], child[b] = parent[b], parent[a]
-        elif kind == _SCRAMBLE:  # reverse a slice of at least two nodes
-            length = int(rng.integers(2, max(2, n // 4) + 1))
-            start = int(rng.integers(0, n - length + 1))
-            child[start:start + length] = parent[start:start + length][::-1]
-        else:  # flip: relabel every cluster at random
-            child[:] = rng.integers(0, k, size=k)[parent]
+    values = values.astype(np.int64)
+    rows = is_kind[_NEW].nonzero()[0]
+    out[rows] = values[start[rows, None] + np.arange(n)]
+    rows = is_kind[_FLIP].nonzero()[0]
+    out[rows] = values[start[rows, None] + pop[rows]]
+    rows = (is_kind[_MERGE] & (ks >= 2)).nonzero()[0]
+    a, b = values[start[rows]], values[start[rows] + 1]
+    b += b >= a
+    parents = pop[rows]
+    out[rows] = np.where(parents == b[:, None], a[:, None], parents)
+    rows = is_kind[_SWAP].nonzero()[0]
+    i, j = values[start[rows]], values[start[rows] + 1]
+    j += j >= i
+    out[rows, i], out[rows, j] = pop[rows, j], pop[rows, i]
+    rows = is_kind[_SCRAMBLE].nonzero()[0]
+    length, begin = values[scramble, None] + 2, values[scramble + 1, None]
+    offset = np.arange(n) - begin
+    source = np.where((offset >= 0) & (offset < length), begin + length - 1 - offset, np.arange(n))
+    out[rows] = pop[rows[:, None], source]
+    # split: a member moves to the new cluster k when its word's top bit is set
+    picks = np.array(picks, dtype=np.int64)
+    rows, tries = split[picks >= 0], np.array(tries, dtype=np.int64)[picks >= 0]
+    hit, col = (pop[rows] == cluster[picks[picks >= 0], None]).nonzero()  # in node order
+    counts = np.bincount(hit, minlength=rows.size)
+    rank = np.arange(hit.size) - (counts.cumsum() - counts)[hit]
+    moved = words.words[tries[hit] + rank] >= 1 << 31
+    out[rows[hit[moved]], col[moved]] = ks[rows[hit[moved]]]
+    words.take(used)
     return out
 
 
@@ -278,14 +447,19 @@ def mutate(labeling, kind: str, rng: np.random.Generator) -> np.ndarray:
     """Apply one mutation operator and resequentialize.
 
     split on an all-singleton labeling and merge on a single-cluster
-    labeling are no-ops returning the input partition.
+    labeling are no-ops returning the input partition. ``rng`` must draw
+    from PCG64, as ``np.random.default_rng`` does; it is left as the
+    operator's ``integers`` calls would leave it.
     """
     if kind not in MUTATION_KINDS:
         raise DomainError(f"unknown mutation kind {kind!r}")
     labels = sequentialize(labeling)
     if labels.size < 2:
         raise DomainError("a labeling to mutate needs at least 2 nodes")
-    return sequentialize(_mutate_rows(labels[None], [MUTATION_KINDS.index(kind)], rng))[0]
+    words = _Words(rng)
+    child = _mutate_rows(labels[None], [MUTATION_KINDS.index(kind)], words)
+    words.close()
+    return sequentialize(child)[0]
 
 
 def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
@@ -314,8 +488,8 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         raise DomainError(f"the search needs at least 2 nodes, got {n}")
 
     score = _SCORERS[objective]
-    rng = np.random.default_rng(seed)
-    pop = sequentialize(np.stack([rng.integers(0, n, size=n) for _ in range(pop_size)]))
+    words = _Words(np.random.default_rng(seed))  # never closed: the Generator is ours
+    pop = sequentialize(_integers(n, pop_size * n, words).reshape(pop_size, n))
     fits = score(*_cluster_sums(pop, cvals))
 
     best = float(fits.max())
@@ -325,8 +499,8 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
     last_improvement = 0
 
     for generation in range(1, max_generations + 1):
-        kinds = rng.integers(0, len(MUTATION_KINDS), size=pop_size)
-        children = sequentialize(_mutate_rows(pop, kinds, rng))
+        kinds = _integers(len(MUTATION_KINDS), pop_size, words)
+        children = sequentialize(_mutate_rows(pop, kinds, words))
         # a child equal to its parent keeps the parent's fitness: a labeling
         # scores the same bits in any batch
         same = (children == pop).all(axis=1)

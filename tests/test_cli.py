@@ -609,11 +609,14 @@ class TestUsageErrors:
          "record 1: key 'g_edges': item 1 is [0, 1], not an [i, j, G] triple"),
         (("records", 7, "g_edges"), [[0, -1, 0.5]],
          "record 7: key 'g_edges': item 0 is [0, -1, 0.5], not an [i, j, G] triple"),
+        (("kind",), "fspc_result", "not a sweep document"),
+        (("records",), [], "phase_report needs at least 3 grid points"),
     ], ids=["not_object", "no_records", "records_not_list", "record_not_object",
             "missing_key", "string_number", "bool_number", "nan_number", "float_count",
             "negative_label",
             "float_label", "label_past_count", "no_labels", "short_labels", "long_labels",
-            "string_energy", "infinite_energy", "pair_edge", "negative_edge_node"])
+            "string_energy", "infinite_energy", "pair_edge", "negative_edge_node",
+            "wrong_kind", "empty_records"])
     def test_malformed_sweep_exit_1(self, path, value, expect, pipeline, capsys, tmp_path):
         _, _, _, sweep, _ = pipeline
         bad = tmp_path / "bad.json"

@@ -16,9 +16,11 @@ from spinclust.fspc import (
     MUTATION_KINDS,
     _cluster_sums,
     _gather_limit,
+    _integers,
     _kmeans_from_sums,
     _lc_from_sums,
     _mutate_rows,
+    _Words,
     cluster_stats,
     ga_run,
     kmeans_hamiltonian,
@@ -408,29 +410,158 @@ class TestMutate:
         assert h.hexdigest() == self.GOLDEN[kind]
 
 
+def on_words(kernel, *args):
+    """Call a word-reading kernel on a Generator, its last argument, and give back the rest."""
+    *args, rng = args
+    words = _Words(rng)
+    out = kernel(*args, words)
+    words.close()
+    return out
+
+
+def buffer_half_word(rng, word):
+    """Leave ``word`` as the buffered half that the next 32-bit draw takes first."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, word
+    rng.bit_generator.state = state
+    return rng
+
+
 class TestMutateRows:
-    @given(st.integers(1, 6), st.integers(2, 30),
+    @given(st.integers(1, 6), st.integers(2, 300),
            st.lists(st.sampled_from(("random", "few", "singletons", "giant")), min_size=6,
                     max_size=6),
            st.lists(st.integers(0, len(MUTATION_KINDS) - 1), min_size=6, max_size=6),
-           st.integers(0, 2**32 - 1))
-    @example(1, 2, ["singletons"] * 6, [1] * 6, 0)  # split on all singletons: a copy
-    @example(1, 2, ["giant"] * 6, [2] * 6, 0)       # merge on one cluster: a copy
-    @example(6, 2, ["random"] * 6, list(range(6)), 1)
-    def test_batch_equals_rows_and_reference(self, p, n, shapes, kinds, seed):
+           st.integers(0, 2**32 - 1), st.booleans())
+    @example(1, 2, ["singletons"] * 6, [1] * 6, 0, False)  # split on all singletons: a copy
+    @example(1, 2, ["giant"] * 6, [2] * 6, 0, False)       # merge on one cluster: a copy
+    @example(6, 2, ["random"] * 6, list(range(6)), 1, False)
+    @example(6, 300, ["random", "few", "singletons", "giant", "few", "random"],
+             list(range(6)), 2, True)
+    def test_batch_equals_rows_and_reference(self, p, n, shapes, kinds, seed, buffered):
         rng = np.random.default_rng(seed)
         pop = np.stack([make_labeling(rng, n, shapes[i]) for i in range(p)])
         kinds = np.array(kinds[:p])
         batch_rng, row_rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(3))
-        batch = _mutate_rows(pop, kinds, batch_rng)
+        if buffered:  # an odd number of words taken: the next one is a buffered half
+            for g in (batch_rng, row_rng, ref_rng):
+                g.integers(0, 7)
+        batch = on_words(_mutate_rows, pop, kinds, batch_rng)
         for i, (parent, kind) in enumerate(zip(pop, kinds)):
             np.testing.assert_array_equal(
-                batch[i], _mutate_rows(pop[i:i + 1], kinds[i:i + 1], row_rng)[0])
+                batch[i], on_words(_mutate_rows, pop[i:i + 1], kinds[i:i + 1], row_rng)[0])
             np.testing.assert_array_equal(
                 batch[i], mutate_reference(parent, MUTATION_KINDS[kind], ref_rng))
         assert batch_rng.bit_generator.state == row_rng.bit_generator.state
         assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
         assert batch.dtype == np.int64 and ((batch >= 0) & (batch < n)).all()
+
+    @pytest.mark.parametrize("kind", MUTATION_KINDS)
+    def test_rejected_first_word(self, kind):
+        # Lemire's rule rejects a zero word for any range that is not a power
+        # of two: integers(0, 6) takes two words here, integers(0, 4) one
+        skipped = buffer_half_word(np.random.default_rng(7), 0)
+        skipped.integers(0, 6)
+        two_words = buffer_half_word(np.random.default_rng(7), 0)
+        two_words.integers(0, 4, size=2)
+        assert skipped.bit_generator.state == two_words.bit_generator.state
+        # so the first row's first draw skips it (scramble's length, of
+        # range 2 when N = 13, keeps it), and every later draw moves one
+        # word on
+        rng = np.random.default_rng(6)
+        pop = np.stack([make_labeling(rng, 13, shape) for shape in LABELING_SHAPES * 2])
+        kinds = rng.integers(0, len(MUTATION_KINDS), size=pop.shape[0])
+        kinds[0] = MUTATION_KINDS.index(kind)
+        pop[0] = sequentialize([0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 4, 4, 5])  # k = 6, 4 eligible
+        if kind == "split":
+            pop[0] = sequentialize([0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9])  # 3 eligible
+        batch_rng, ref_rng = (buffer_half_word(np.random.default_rng(7), 0) for _ in range(2))
+        batch = on_words(_mutate_rows, pop, kinds, batch_rng)
+        for parent, child, k in zip(pop, batch, kinds):
+            np.testing.assert_array_equal(
+                child, mutate_reference(parent, MUTATION_KINDS[k], ref_rng))
+        assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rejected_word_mid_generation(self, monkeypatch):
+        # seed 10224's word 2704 is the first it rejects for range 300: the
+        # giant split takes 300 words and swap 2, so a new row's draw meets it
+        n = 300
+        rng = np.random.default_rng(0)
+        names = ["split", "swap"] + ["new"] * 9 + ["split", "flip", "scramble", "merge",
+                                                   "swap", "split"]
+        shapes = ["giant"] + ["random"] * 12 + ["few", "random", "few", "few"]
+        pop = np.stack([make_labeling(rng, n, shape) for shape in shapes])
+        kinds = np.array([MUTATION_KINDS.index(name) for name in names])
+        rejected = []
+        lemire = fspc._lemire
+
+        def lemire_seen(words, r):
+            values, bad = lemire(words, r)
+            rejected.append(int(np.sum(bad)))
+            return values, bad
+
+        monkeypatch.setattr(fspc, "_lemire", lemire_seen)
+        batch_rng, ref_rng = np.random.default_rng(10224), np.random.default_rng(10224)
+        batch = on_words(_mutate_rows, pop, kinds, batch_rng)
+        assert sum(rejected) >= 1
+        for parent, child, name in zip(pop, batch, names):
+            np.testing.assert_array_equal(child, mutate_reference(parent, name, ref_rng))
+        assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+OPS = st.lists(st.tuples(
+    st.one_of(st.integers(1, 2**32 - 1), st.sampled_from([1, 2, 3, 6, 2**31 + 1, 2**32 - 1])),
+    st.one_of(st.none(), st.integers(0, 40))), min_size=1, max_size=8)
+
+
+class TestWords:
+    @given(OPS, st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @example([(2**31 + 1, 40), (6, None), (1, 3), (2**32 - 1, 5)], 0, 0)
+    @example([(4, 2), (6, None)], 0, 0)  # a power of two keeps a zero word
+    def test_integers_match_generator(self, ops, seed, half):
+        # scalar and sized integers calls, a buffered half word or none
+        expect, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half is not None:
+            buffer_half_word(expect, half), buffer_half_word(got, half)
+        for high, size in ops:
+            if size is None:
+                assert on_words(_integers, high, 1, got).tolist() == [expect.integers(0, high)]
+            else:
+                values = on_words(_integers, high, size, got)
+                np.testing.assert_array_equal(values, expect.integers(0, high, size=size))
+                assert values.dtype == np.int64
+            assert got.bit_generator.state == expect.bit_generator.state
+
+    @given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+           st.lists(st.tuples(st.integers(0, 1200), st.integers(0, 1200)), max_size=4))
+    @example(0, 7, [(0, 1)])         # the buffered half alone
+    @example(0, 7, [(3, 2), (0, 5)])  # close after an odd count of output halves
+    def test_read_take_close(self, seed, half, steps):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half is not None:
+            buffer_half_word(rng, half), buffer_half_word(ref, half)
+        words = _Words(rng)
+        for count, used in steps:
+            words.read(count)
+            assert words.words.size >= count
+            # a full-range draw takes one word as it is
+            peek = np.random.default_rng()
+            peek.bit_generator.state = ref.bit_generator.state
+            np.testing.assert_array_equal(
+                words.words, peek.integers(0, 2**32, size=words.words.size, dtype=np.uint64))
+            assert words.top == (words.words >> 31).astype(bool).tobytes()
+            used = min(used, words.words.size)
+            words.take(used)
+            ref.integers(0, 2**32, size=used, dtype=np.uint64)
+        words.close()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_other_bit_generators_rejected_before_any_draw(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="PCG64 generator, got MT19937"):
+            mutate(np.array([0, 0, 1]), "swap", rng)
+        np.testing.assert_equal(rng.bit_generator.state, state)
 
 
 class TestGaStream:
