@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -33,6 +34,9 @@ _SYMMETRY_ATOL = 1e-12
 
 # a loaded correlation's diagonal must be 1, and |r| <= 1, within this tolerance
 _UNIT_TOL = 1e-12
+
+# what json gives for a number or null; bool is excluded, though a subclass of int
+_CELL_TYPES = {int, float, type(None)}
 
 
 @dataclass
@@ -210,27 +214,111 @@ def read_json(path):
 
 
 def save_envelope(obj: DataMatrix | CorrelationMatrix, path) -> None:
+    """Write ``obj`` as a JSON envelope; a correlation also gets a binary sidecar.
+
+    The sidecar ``<path>.npz`` lets load_envelope skip parsing the text (see
+    _write_sidecar). Any sidecar already at that name is removed before the
+    JSON is written, so none is left beside JSON it was not written for.
+    """
+    sidecar = _sidecar_path(path)
+    _remove(sidecar)
     write_json(obj.to_envelope(), path)
+    if isinstance(obj, CorrelationMatrix):
+        _write_sidecar(obj, path, sidecar)
 
 
 def load_envelope(path) -> DataMatrix | CorrelationMatrix:
-    """Read a JSON envelope back into the matching container."""
-    doc = read_json(path)
-    for key in ("kind", "row_ids", "col_ids", "values"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise ParseError(f"{path}: envelope missing field {key!r}")
-    raw = _value_rows(doc["values"], path)
-    if doc["kind"] == "data":
-        mask = np.array([[cell is not None for cell in row] for row in raw], dtype=bool)
-        vals = _cells([[0.0 if cell is None else cell for cell in row] for row in raw], path)
-        return DataMatrix(vals, mask, row_ids=[str(r) for r in doc["row_ids"]],
-                          col_ids=[str(c) for c in doc["col_ids"]])
-    if doc["kind"] in CORRELATION_KINDS:
-        corr = CorrelationMatrix(_cells(raw, path), doc["kind"],
-                                 row_ids=[str(r) for r in doc["row_ids"]])
-        _check_envelope_correlation(corr, path)
-        return corr
-    raise ParseError(f"{path}: unknown envelope kind {doc['kind']!r}")
+    """Read a JSON envelope back into the matching container.
+
+    A correlation comes from its sidecar when one is valid for the JSON now
+    on disk (see _load_sidecar), and from the JSON text otherwise; the
+    checks on the matrix are the same either way.
+    """
+    corr = _load_sidecar(path)
+    if corr is None:
+        doc = read_json(path)
+        for key in ("kind", "row_ids", "col_ids", "values"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise ParseError(f"{path}: envelope missing field {key!r}")
+        raw = _value_rows(doc["values"], path)
+        if doc["kind"] == "data":
+            row_ids, col_ids = ([str(x) for x in doc[key]] for key in ("row_ids", "col_ids"))
+            _check_cell_types(raw, row_ids, col_ids, path)
+            mask = np.array([[cell is not None for cell in row] for row in raw], dtype=bool)
+            vals = _cells([[0.0 if cell is None else cell for cell in row] for row in raw], path)
+            return DataMatrix(vals, mask, row_ids=row_ids, col_ids=col_ids)
+        if doc["kind"] not in CORRELATION_KINDS:
+            raise ParseError(f"{path}: unknown envelope kind {doc['kind']!r}")
+        row_ids = [str(r) for r in doc["row_ids"]]
+        _check_cell_types(raw, row_ids, row_ids, path)
+        corr = CorrelationMatrix(_cells(raw, path), doc["kind"], row_ids=row_ids)
+    _check_envelope_correlation(corr, path)
+    return corr
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _remove(path) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
+def _file_digest(path) -> str:
+    """Hex SHA-256 of the file at ``path``, read 1 MiB at a time."""
+    import hashlib  # here, not at the top: it adds ~5 ms to every CLI start
+
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _write_sidecar(corr: CorrelationMatrix, path, sidecar: str) -> None:
+    """Write ``corr`` to ``sidecar``, bound to the JSON at ``path`` by its SHA-256.
+
+    An uncompressed npz of ``values`` (C-contiguous float64), ``kind``,
+    ``row_ids`` (str) and ``digest``, the hex SHA-256 of the JSON bytes. The
+    JSON holds shortest round-trip floats, so these values are the bits a
+    parse of it gives. The file is written under a temporary name and moved
+    into place. Row ids that a numpy str array would change (an id that is
+    not a str, or that ends in NUL) get no sidecar.
+    """
+    if not all(isinstance(r, str) and not r.endswith("\0") for r in corr.row_ids):
+        return
+    tmp = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, values=np.ascontiguousarray(corr.values, dtype=np.float64),
+                     kind=np.array(corr.kind), row_ids=np.array(corr.row_ids, dtype=np.str_),
+                     digest=np.array(_file_digest(path)))
+        os.replace(tmp, sidecar)
+    except BaseException:
+        _remove(tmp)
+        raise
+
+
+def _load_sidecar(path) -> CorrelationMatrix | None:
+    """The correlation in ``path``'s sidecar, or None when none is valid for it.
+
+    A sidecar is valid when ``np.load`` opens it without unpickling, it holds
+    the four arrays _write_sidecar writes, and its digest is the SHA-256 of
+    the file at ``path`` now. A missing, truncated or pickled sidecar, one
+    written for other JSON, and JSON edited since it was written all give
+    None, and the JSON is parsed.
+    """
+    try:
+        with np.load(_sidecar_path(path), allow_pickle=False) as z:
+            if str(z["digest"]) != _file_digest(path):
+                return None
+            values, kind, row_ids = z["values"], str(z["kind"]), z["row_ids"].tolist()
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return CorrelationMatrix(values, kind, row_ids=row_ids)
 
 
 def _value_rows(raw, path) -> list:
@@ -248,6 +336,22 @@ def _value_rows(raw, path) -> list:
             raise ParseError(f"{path}: values[{i}] has {len(row)} cells, "
                              f"values[0] has {len(raw[0])}")
     return raw
+
+
+def _check_cell_types(rows: list, row_ids: list, col_ids: list, path) -> None:
+    """Reject a cell that is not a JSON number or null, such as ``true`` or ``"0.5"``.
+
+    The ParseError names the first such cell (row-major) by row and column
+    id, or by 0-based index past the end of the ids.
+    """
+    for i, row in enumerate(rows):
+        if set(map(type, row)) <= _CELL_TYPES:
+            continue
+        j = next(j for j, cell in enumerate(row) if type(cell) not in _CELL_TYPES)
+        rid = row_ids[i] if i < len(row_ids) else str(i)
+        cid = col_ids[j] if j < len(col_ids) else str(j)
+        raise ParseError(f"{path}: non-numeric cell {json.dumps(row[j])} at row {rid!r}, "
+                         f"column {cid!r}")
 
 
 def _cells(rows: list, path) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spinclust
-from spinclust import cli
+from spinclust import cli, dataset
 from spinclust.cli import build_parser, main, parse_trange
 from spinclust.dataset import (
     load_envelope,
@@ -530,7 +530,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("values, expect", [
         ([[1.0, 0.5], [0.5]], "values[1] has 1 cells, values[0] has 2"),
         ([1.0, 0.5], "values[0] is 1.0, not a list of cells"),
-    ], ids=["ragged", "flat"])
+        ([[True, "0.5"], ["0.5", 1]], "non-numeric cell true at row 'a', column 'a'"),
+    ], ids=["ragged", "flat", "bool_and_string"])
     def test_malformed_envelope_values_exit_1(self, kind, values, expect, capsys, tmp_path):
         env = tmp_path / "in.json"
         env.write_text(json.dumps({"kind": kind, "row_ids": ["a", "b"],
@@ -646,6 +647,42 @@ class TestUsageErrors:
                    "--output", str(tmp_path / "r.json")) == 1
 
 
+class TestEnvelopeSidecar:
+    def test_walkthrough_outputs_same_without_sidecar(self, tmp_path, monkeypatch):
+        """fspc and validate read sim.json from its sidecar, or parse it once it is gone."""
+        parses = []
+        read = dataset.read_json
+        monkeypatch.setattr(dataset, "read_json", lambda path: parses.append(path) or read(path))
+        monkeypatch.chdir(tmp_path)
+        assert run("generate", "blobs", "--n", "40", "--dims", "3", "--sigmas", "0.25,0.5,1",
+                   "--seed", "7", "--output", "blobs.csv") == 0
+        assert run("spc", "--input", "blobs.csv", "--k", "6", "--q", "20",
+                   "--t", "0.01:0.09:0.04", "--steps", "60", "--burn-in", "10",
+                   "--seed", "7", "--threads", "1", "--output", "sweep.json") == 0
+        assert run("preprocess", "--input", "blobs.csv", "--corr", "similarity",
+                   "--output", "sim.json") == 0
+        sidecar = Path("sim.json.npz")
+        assert sidecar.is_file()
+        outputs = {}
+        for side in ("sidecar", "json"):
+            assert run("fspc", "--corr", "sim.json", "--pop", "12", "--stall", "10",
+                       "--gens", "30", "--seed", "7", "--output", f"{side}.json") == 0
+            assert run("validate", "--sweep", "sweep.json", "--corr", "sim.json",
+                       "--reference", f"{side}.json", "--output", f"{side}-report") == 0
+            outputs[side] = [Path(f"{side}{end}").read_bytes() for end in
+                             (".json", "-report.json", "-report.md", "-report.csv")]
+            assert parses == ([] if side == "sidecar" else ["sim.json"] * 2)
+            sidecar.unlink(missing_ok=True)
+        assert outputs["sidecar"] == outputs["json"]
+
+        assert run("preprocess", "--input", "blobs.csv", "--corr", "similarity",
+                   "--output", "sim.json") == 0
+        assert sidecar.is_file()
+        assert run("preprocess", "--input", "blobs.csv", "--output", "sim.json") == 0
+        assert not sidecar.exists()
+        assert run("fspc", "--corr", "sim.json", "--output", "r.json") == 1
+
+
 class TestReadmeCommands:
     def test_every_command_parses(self):
         commands = readme_commands()
@@ -688,11 +725,13 @@ class TestReadmeCommands:
 
 class TestStartup:
     def test_import_loads_neither_scipy_signal_nor_stats(self):
-        """scipy.signal (which loads scipy.stats) would add ~1 s to every CLI start."""
+        """scipy.signal (which loads scipy.stats) would add ~1 s to every CLI start,
+        and hashlib, which only envelope sidecars use, ~5 ms."""
         src = str(Path(spinclust.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import spinclust.cli; "
                 "print(spinclust.cli.__file__); "
-                "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+                "print([m for m in ('scipy.signal', 'scipy.stats', 'hashlib', '_hashlib') "
+                "if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120, check=True)
         where, loaded = proc.stdout.splitlines()

@@ -1,12 +1,15 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinclust import dataset
 from spinclust.dataset import (
+    CORRELATION_KINDS,
     CorrelationMatrix,
     DataMatrix,
     load_envelope,
@@ -385,7 +388,10 @@ class TestEnvelopes:
         ([1.0, 0.5], r"values\[0\] is 1.0, not a list"),
         ([], "non-empty list of rows"),
         ([["x", 1.0], [1.0, 1.0]], "non-numeric cell"),
-    ], ids=["ragged", "flat", "empty", "string"])
+        ([[True, "0.5"], ["0.5", 1]], r"non-numeric cell true at row 'a', column 'a'$"),
+        ([[1.0, 0.5], [0.5, "2.5"]], r"non-numeric cell \"2.5\" at row 'b', column 'b'$"),
+        ([[1.0, [0.5]], [0.5, 1.0]], r"non-numeric cell \[0.5\] at row 'a', column 'b'$"),
+    ], ids=["ragged", "flat", "empty", "string", "bool_first", "numeric_string", "list"])
     def test_malformed_values_rejected(self, tmp_path, kind, values, expect):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"kind": kind, "row_ids": ["a", "b"],
@@ -482,3 +488,130 @@ class TestEnvelopes:
         p.write_text(json.dumps({"kind": "data", "values": []}))
         with pytest.raises(ParseError, match="row_ids"):
             load_envelope(p)
+
+
+def _sidecar_cases():
+    rng = np.random.default_rng(3)
+    a = np.corrcoef(rng.normal(size=(6, 9)))
+    a = 0.5 * (a + a.T)
+    np.fill_diagonal(a, 1.0)
+    a[0, 2], a[2, 0] = -0.0, 0.0
+    a[1, 3] = a[3, 1] = -0.0
+    skewed, diagonal, above_one = a.copy(), a.copy(), a.copy()
+    skewed[4, 1] += 0.25
+    diagonal[5, 5] = 1.0 + 1e-9
+    above_one[2, 4] = above_one[4, 2] = -1.5
+    ids = [f"s{i}" for i in range(6)]
+    return {"valid": (a, ids), "fortran_order": (np.asfortranarray(a), ids),
+            "skewed": (skewed, ids), "diagonal": (diagonal, ids),
+            "above_one": (above_one, ids), "short_ids": (a, ids[:5]),
+            "one_by_one": (np.ones((1, 1)), ["x"])}
+
+
+SIDECAR_CASES = _sidecar_cases()
+
+
+class TestSidecar:
+    """A correlation envelope's npz sidecar, with the JSON path as the oracle."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths whose JSON text load_envelope parses."""
+        calls = []
+        read = dataset.read_json
+
+        def spy(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(dataset, "read_json", spy)
+        return calls
+
+    @staticmethod
+    def load(path):
+        """load_envelope's correlation, or the type and text of the error it raises."""
+        try:
+            return load_envelope(path)
+        except (ParseError, DomainError) as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def assert_same(fast, slow):
+        if isinstance(slow, tuple):
+            assert fast == slow
+            return
+        for corr in (fast, slow):
+            assert corr.values.dtype == np.float64 and corr.values.flags.c_contiguous
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert (fast.kind, fast.row_ids) == (slow.kind, slow.row_ids)
+
+    @pytest.mark.parametrize("kind", CORRELATION_KINDS)
+    @pytest.mark.parametrize("case", SIDECAR_CASES)
+    def test_sidecar_load_equals_json_load(self, tmp_path, parses, case, kind):
+        values, ids = SIDECAR_CASES[case]
+        p = tmp_path / "c.json"
+        save_envelope(CorrelationMatrix(values, kind, row_ids=ids), p)
+        fast = self.load(p)
+        assert parses == []
+        (tmp_path / "c.json.npz").unlink()
+        slow = self.load(p)
+        assert parses == [p]
+        self.assert_same(fast, slow)
+        if case == "valid":
+            assert np.signbit(fast.values[[0, 1, 3], [2, 3, 1]]).all()
+        elif case in ("skewed", "diagonal", "above_one", "short_ids"):
+            assert isinstance(fast, tuple)
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2], ["a", "b\0", "c"]], ids=["int", "nul_suffix"])
+    def test_ids_a_str_array_would_change_get_no_sidecar(self, tmp_path, parses, ids):
+        p = tmp_path / "c.json"
+        save_envelope(CorrelationMatrix(np.eye(3), "pearson", row_ids=ids), p)
+        assert not (tmp_path / "c.json.npz").exists()
+        assert load_envelope(p).row_ids == [str(r) for r in ids]
+        assert parses == [p]
+
+    def test_json_is_parsed_when_the_sidecar_does_not_match(self, tmp_path, parses):
+        c = np.eye(3)
+        c[0, 1] = c[1, 0] = 0.25
+        p, sidecar = tmp_path / "c.json", tmp_path / "c.json.npz"
+        save_envelope(CorrelationMatrix(np.eye(3), "pearson"), tmp_path / "other.json")
+        spoils = {
+            "edited_json": lambda: p.write_text(p.read_text().replace("0.25", "0.75")),
+            "truncated": lambda: sidecar.write_bytes(
+                sidecar.read_bytes()[:sidecar.stat().st_size // 2]),
+            "another_envelopes": lambda: sidecar.write_bytes(
+                (tmp_path / "other.json.npz").read_bytes()),
+            "pickled": lambda: sidecar.write_bytes(
+                pickle.dumps({"values": np.zeros((3, 3)), "kind": "pearson"})),
+            "empty": lambda: sidecar.write_bytes(b""),
+        }
+        for name, spoil in spoils.items():
+            save_envelope(CorrelationMatrix(c, "pearson"), p)
+            size = p.stat().st_size
+            spoil()
+            assert p.stat().st_size == size  # an edit of the same length
+            parses.clear()
+            got = load_envelope(p)
+            assert parses == [p], name
+            expect = np.asarray(json.loads(p.read_text())["values"])
+            assert got.values.tobytes() == expect.tobytes(), name
+
+    def test_data_envelope_gets_no_sidecar_and_removes_a_stale_one(self, tmp_path, parses):
+        p = tmp_path / "e.json"
+        save_envelope(CorrelationMatrix(np.eye(3), "pearson"), p)
+        assert (tmp_path / "e.json.npz").is_file()
+        save_envelope(DataMatrix(np.ones((3, 2)), None), p)
+        assert not (tmp_path / "e.json.npz").exists()
+        assert isinstance(load_envelope(p), DataMatrix)
+        assert parses == [p]
+
+    def test_failed_sidecar_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", full)
+        p = tmp_path / "c.json"
+        with pytest.raises(OSError, match="No space left"):
+            save_envelope(CorrelationMatrix(np.eye(3), "pearson"), p)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["c.json"]
+        assert load_envelope(p).values.tolist() == np.eye(3).tolist()
