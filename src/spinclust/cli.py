@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 data/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -49,17 +48,6 @@ from .similarity import (
 from .spc import sweep_from_json, sweep_to_json, temperature_sweep
 from .thermo import free_energy_curve
 from .validation import ari_vs_temperature, lc_vs_temperature, phase_report
-
-
-def _env_int(parser: argparse.ArgumentParser, name: str, fallback: int) -> int:
-    """Integer default from the environment; a malformed value is a usage error."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 def _worker_count(raw: str) -> int:
@@ -99,6 +87,13 @@ def _load_table(path: str, has_header: bool) -> DataMatrix | CorrelationMatrix:
     if path.endswith(".json"):
         return load_envelope(path)
     return load_matrix(path, has_header=has_header)
+
+
+def _load_correlation(path: str) -> CorrelationMatrix:
+    obj = load_envelope(path)
+    if not isinstance(obj, CorrelationMatrix):
+        raise DomainError(f"{path} is not a correlation envelope")
+    return obj
 
 
 def _distances_from_input(obj: DataMatrix | CorrelationMatrix) -> np.ndarray:
@@ -244,12 +239,9 @@ def cmd_spc(args) -> int:
 
 
 def cmd_fspc(args) -> int:
-    obj = load_envelope(args.corr)
-    if not isinstance(obj, CorrelationMatrix):
-        raise DomainError(f"{args.corr} is not a correlation envelope")
-    res = ga_run(obj, pop_size=args.pop, max_generations=args.gens,
-                 stall_generations=args.stall, seed=args.seed,
-                 objective=args.objective)
+    res = ga_run(_load_correlation(args.corr), pop_size=args.pop,
+                 max_generations=args.gens, stall_generations=args.stall,
+                 seed=args.seed, objective=args.objective)
     write_json(res.to_dict(), args.output)
     print(f"wrote result (fitness {res.fitness:.6g}, "
           f"{res.generations_run} generations) to {args.output}")
@@ -270,10 +262,7 @@ def cmd_validate(args) -> int:
     doc["free_energy"] = [{"T": t, "F": f, "S": s, "chi": c} for t, f, s, c in fec]
 
     if args.corr:
-        corr = load_envelope(args.corr)
-        if not isinstance(corr, CorrelationMatrix):
-            raise DomainError(f"{args.corr} is not a correlation envelope")
-        curve = lc_vs_temperature(sweep, corr)
+        curve = lc_vs_temperature(sweep, _load_correlation(args.corr))
         doc["lc_curve"] = [{"T": t, "lc": v} for t, v in curve]
         best_t, best_lc = max(curve, key=lambda tv: tv[1])
         md.append(f"\nLikelihood argmax: T={best_t:g} (L_c={best_lc:.4f})\n")
@@ -317,12 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinclust {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_seed = _env_int(parser, "SPINCLUST_SEED", 0)
-    default_threads = _env_int(parser, "SPINCLUST_THREADS", 1)
-    if default_threads < 1:
-        parser.error(f"environment variable SPINCLUST_THREADS must be at least 1, "
-                     f"got {default_threads}")
-
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("dataset", choices=["circles", "blobs"])
     p.add_argument("--n", type=int, default=500)
@@ -330,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=3, help="blobs: feature count")
     p.add_argument("--sigmas", default="0.25,0.5,1",
                    help="blobs: comma-separated per-cluster spreads")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--labels", default=None,
                    help="ground-truth labels path (default: <output>.labels.csv)")
@@ -366,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--burn-in", type=int, default=400)
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--threads", type=_worker_count, default=default_threads)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=_worker_count, default=1)
     p.add_argument("--dump-g", action="store_true",
                    help="include the pair correlation G of every graph edge per "
                         "temperature, as [i, j, G] triples")
@@ -380,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", type=int, default=25000)
     p.add_argument("--stall", type=int, default=100)
     p.add_argument("--objective", choices=["lc", "kmeans"], default="lc")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_fspc)
 
@@ -409,10 +392,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except SpinclustError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpinclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -240,6 +240,9 @@ def load_envelope(path) -> DataMatrix | CorrelationMatrix:
         for key in ("kind", "row_ids", "col_ids", "values"):
             if not isinstance(doc, dict) or key not in doc:
                 raise ParseError(f"{path}: envelope missing field {key!r}")
+        for key in ("row_ids", "col_ids"):
+            if not isinstance(doc[key], list):
+                raise ParseError(f"{path}: {key} is {doc[key]!r}, not a list of ids")
         raw = _value_rows(doc["values"], path)
         if doc["kind"] == "data":
             row_ids, col_ids = ([str(x) for x in doc[key]] for key in ("row_ids", "col_ids"))

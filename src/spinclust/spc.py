@@ -18,7 +18,6 @@ from which the final clusters are read by thresholding at theta.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -392,6 +391,8 @@ def temperature_sweep(strengths: StrengthGraph, grid, m_steps: int = 2000,
         return _run_block(strengths, grid, seeds, m_steps, burn_in, q, theta)
     temps = [[grid[i] for i in b] for b in blocks]
     block_seeds = [[seeds[i] for i in b] for b in blocks]
+    from concurrent.futures import ProcessPoolExecutor  # not at the top: only this path uses it
+
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
         parts = pool.map(_run_block, repeat(strengths), temps, block_seeds, repeat(m_steps),
                          repeat(burn_in), repeat(q), repeat(theta))

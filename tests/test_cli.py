@@ -438,18 +438,29 @@ class TestUsageErrors:
     def test_unknown_subcommand_exit_2(self):
         assert run("explode") == 2
 
-    @pytest.mark.parametrize("var", ["SPINCLUST_THREADS", "SPINCLUST_SEED"])
-    def test_malformed_env_var_exit_2(self, var, monkeypatch, capsys, tmp_path):
-        data = tmp_path / "d.csv"
-        run("generate", "blobs", "--n", "12", "--dims", "2",
-            "--sigmas", "0.2,0.2", "--seed", "1", "--output", str(data))
-        monkeypatch.setenv(var, "abc")
-        capsys.readouterr()
-        assert run("spc", "--input", str(data), "--k", "3", "--t", "0.1:0.1:0.1",
-                   "--steps", "20", "--burn-in", "5",
-                   "--output", str(tmp_path / "s.json")) == 2
-        assert var in capsys.readouterr().err
-        assert not (tmp_path / "s.json").exists()
+    def test_outputs_ignore_spinclust_environment(self, monkeypatch, tmp_path):
+        """Defaults come from the parser alone: --seed is 0 and --threads 1 whatever
+        SPINCLUST_SEED or SPINCLUST_THREADS hold."""
+        outputs = []
+        for name, env in (("plain", {}),
+                          ("env", {"SPINCLUST_SEED": "9", "SPINCLUST_THREADS": "abc"})):
+            for var, value in env.items():
+                monkeypatch.setenv(var, value)
+            out = tmp_path / name
+            out.mkdir()
+            assert run("generate", "blobs", "--n", "24", "--dims", "2",
+                       "--sigmas", "0.2,0.2,0.2", "--output", str(out / "d.csv")) == 0
+            assert run("preprocess", "--input", str(out / "d.csv"), "--corr", "similarity",
+                       "--output", str(out / "sim.json")) == 0
+            assert run("spc", "--input", str(out / "sim.json"), "--k", "4",
+                       "--t", "0.05:0.15:0.05", "--steps", "30", "--burn-in", "5",
+                       "--output", str(out / "sweep.json")) == 0
+            assert run("fspc", "--corr", str(out / "sim.json"), "--pop", "10",
+                       "--gens", "20", "--output", str(out / "r.json")) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["d.csv", "d.csv.labels.csv", "r.json", "sim.json",
+                                      "sim.json.npz", "sweep.json"]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_exit_1(self, cell, capsys, tmp_path):
@@ -480,19 +491,15 @@ class TestUsageErrors:
         assert err.splitlines() == ["error: --sigmas item 'abc' is not a number"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
-    def test_threads_below_one_exit_2(self, flag, env, monkeypatch, capsys, tmp_path):
+    @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
+    def test_threads_below_one_exit_2(self, flag, capsys, tmp_path):
         data = tmp_path / "d.csv"
         run("generate", "blobs", "--n", "12", "--dims", "2",
             "--sigmas", "0.2,0.2", "--seed", "1", "--output", str(data))
-        if env is not None:
-            monkeypatch.setenv("SPINCLUST_THREADS", env)
-        argv = ["spc", "--input", str(data), "--k", "3", "--t", "0.1:0.1:0.1",
-                "--steps", "20", "--burn-in", "5", "--output", str(tmp_path / "s.json")]
-        if flag is not None:
-            argv += ["--threads", flag]
         capsys.readouterr()
-        assert run(*argv) == 2
+        assert run("spc", "--input", str(data), "--k", "3", "--t", "0.1:0.1:0.1",
+                   "--steps", "20", "--burn-in", "5", "--threads", flag,
+                   "--output", str(tmp_path / "s.json")) == 2
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
@@ -527,15 +534,24 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["data", "pearson"])
-    @pytest.mark.parametrize("values, expect", [
-        ([[1.0, 0.5], [0.5]], "values[1] has 1 cells, values[0] has 2"),
-        ([1.0, 0.5], "values[0] is 1.0, not a list of cells"),
-        ([[True, "0.5"], ["0.5", 1]], "non-numeric cell true at row 'a', column 'a'"),
-    ], ids=["ragged", "flat", "bool_and_string"])
-    def test_malformed_envelope_values_exit_1(self, kind, values, expect, capsys, tmp_path):
+    @pytest.mark.parametrize("field, value, expect", [
+        ("values", [[1.0, 0.5], [0.5]], "values[1] has 1 cells, values[0] has 2"),
+        ("values", [1.0, 0.5], "values[0] is 1.0, not a list of cells"),
+        ("values", [[True, "0.5"], ["0.5", 1]],
+         "non-numeric cell true at row 'a', column 'a'"),
+        ("row_ids", 5, "in.json: row_ids is 5, not a list of ids"),
+        ("row_ids", "ab", "in.json: row_ids is 'ab', not a list of ids"),
+        ("col_ids", 5, "in.json: col_ids is 5, not a list of ids"),
+        ("col_ids", "ab", "in.json: col_ids is 'ab', not a list of ids"),
+    ], ids=["ragged", "flat", "bool_and_string", "row_ids_number", "row_ids_string",
+            "col_ids_number", "col_ids_string"])
+    def test_malformed_envelope_values_exit_1(self, kind, field, value, expect,
+                                              capsys, tmp_path):
+        doc = {"kind": kind, "row_ids": ["a", "b"], "col_ids": ["a", "b"],
+               "values": [[1.0, 0.5], [0.5, 1.0]]}
+        doc[field] = value
         env = tmp_path / "in.json"
-        env.write_text(json.dumps({"kind": kind, "row_ids": ["a", "b"],
-                                   "col_ids": ["a", "b"], "values": values}))
+        env.write_text(json.dumps(doc))
         out = tmp_path / "out.json"
         assert run("preprocess", "--input", str(env), "--denoise", "imn",
                    "--output", str(out)) == 1
@@ -726,12 +742,13 @@ class TestReadmeCommands:
 class TestStartup:
     def test_import_loads_neither_scipy_signal_nor_stats(self):
         """scipy.signal (which loads scipy.stats) would add ~1 s to every CLI start,
-        and hashlib, which only envelope sidecars use, ~5 ms."""
+        hashlib, which only envelope sidecars use, ~5 ms, and concurrent.futures with
+        multiprocessing, which only a split spc grid uses, 14 modules."""
         src = str(Path(spinclust.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import spinclust.cli; "
                 "print(spinclust.cli.__file__); "
-                "print([m for m in ('scipy.signal', 'scipy.stats', 'hashlib', '_hashlib') "
-                "if m in sys.modules])")
+                "print([m for m in ('scipy.signal', 'scipy.stats', 'hashlib', '_hashlib', "
+                "'concurrent.futures', 'multiprocessing') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120, check=True)
         where, loaded = proc.stdout.splitlines()

@@ -383,19 +383,29 @@ class TestEnvelopes:
         assert not p.exists()
 
     @pytest.mark.parametrize("kind", ["data", "pearson"])
-    @pytest.mark.parametrize("values, expect", [
-        ([[1.0, 0.5], [0.5]], r"values\[1\] has 1 cells, values\[0\] has 2"),
-        ([1.0, 0.5], r"values\[0\] is 1.0, not a list"),
-        ([], "non-empty list of rows"),
-        ([["x", 1.0], [1.0, 1.0]], "non-numeric cell"),
-        ([[True, "0.5"], ["0.5", 1]], r"non-numeric cell true at row 'a', column 'a'$"),
-        ([[1.0, 0.5], [0.5, "2.5"]], r"non-numeric cell \"2.5\" at row 'b', column 'b'$"),
-        ([[1.0, [0.5]], [0.5, 1.0]], r"non-numeric cell \[0.5\] at row 'a', column 'b'$"),
-    ], ids=["ragged", "flat", "empty", "string", "bool_first", "numeric_string", "list"])
-    def test_malformed_values_rejected(self, tmp_path, kind, values, expect):
+    @pytest.mark.parametrize("field, value, expect", [
+        ("values", [[1.0, 0.5], [0.5]], r"values\[1\] has 1 cells, values\[0\] has 2"),
+        ("values", [1.0, 0.5], r"values\[0\] is 1.0, not a list"),
+        ("values", [], "non-empty list of rows"),
+        ("values", [["x", 1.0], [1.0, 1.0]], "non-numeric cell"),
+        ("values", [[True, "0.5"], ["0.5", 1]],
+         r"non-numeric cell true at row 'a', column 'a'$"),
+        ("values", [[1.0, 0.5], [0.5, "2.5"]],
+         r"non-numeric cell \"2.5\" at row 'b', column 'b'$"),
+        ("values", [[1.0, [0.5]], [0.5, 1.0]],
+         r"non-numeric cell \[0.5\] at row 'a', column 'b'$"),
+        ("row_ids", 5, r"bad.json: row_ids is 5, not a list of ids$"),
+        ("row_ids", "ab", r"bad.json: row_ids is 'ab', not a list of ids$"),
+        ("col_ids", 5, r"bad.json: col_ids is 5, not a list of ids$"),
+        ("col_ids", "ab", r"bad.json: col_ids is 'ab', not a list of ids$"),
+    ], ids=["ragged", "flat", "empty", "string", "bool_first", "numeric_string", "list",
+            "row_ids_number", "row_ids_string", "col_ids_number", "col_ids_string"])
+    def test_malformed_values_rejected(self, tmp_path, kind, field, value, expect):
+        doc = {"kind": kind, "row_ids": ["a", "b"], "col_ids": ["a", "b"],
+               "values": [[1.0, 0.5], [0.5, 1.0]]}
+        doc[field] = value
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"kind": kind, "row_ids": ["a", "b"],
-                                 "col_ids": ["a", "b"], "values": values}))
+        p.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=expect):
             load_envelope(p)
 
