@@ -249,9 +249,14 @@ def load_envelope(path) -> DataMatrix | CorrelationMatrix:
             _check_cell_types(raw, row_ids, col_ids, path)
             mask = np.array([[cell is not None for cell in row] for row in raw], dtype=bool)
             vals = _cells([[0.0 if cell is None else cell for cell in row] for row in raw], path)
-            return DataMatrix(vals, mask, row_ids=row_ids, col_ids=col_ids)
+            try:
+                return DataMatrix(vals, mask, row_ids=row_ids, col_ids=col_ids)
+            except DomainError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
         if doc["kind"] not in CORRELATION_KINDS:
             raise ParseError(f"{path}: unknown envelope kind {doc['kind']!r}")
+        if doc["col_ids"] != doc["row_ids"]:
+            raise ParseError(f"{path}: col_ids must equal row_ids in a correlation envelope")
         row_ids = [str(r) for r in doc["row_ids"]]
         _check_cell_types(raw, row_ids, row_ids, path)
         corr = CorrelationMatrix(_cells(raw, path), doc["kind"], row_ids=row_ids)

@@ -6,25 +6,20 @@ A labeling scores
           [ ln(n_s / c_s) + (n_s - 1) ln((n_s^2 - n_s) / (n_s^2 - c_s)) ]
 
 where n_s is the cluster size and c_s the intra-cluster sum of the
-correlation matrix (diagonal included). Clusters with c_s <= n_s carry no
-structure and contribute zero; c_s is clamped just under n_s^2 so the
-objective stays finite on perfectly correlated blocks.
+correlation matrix (diagonal included), on C rounded to the grid of
+``_on_grid``. Clusters with c_s <= n_s carry no structure and contribute
+zero; c_s is clamped just under n_s^2 so the objective stays finite on
+perfectly correlated blocks.
 
 The maximizer is an elitist mutation-only genetic algorithm: every parent
 spawns one mutated child per generation, parents and children compete, and
 the run stops after a fixed number of generations without improvement.
 
-Draw order. Every random number of the search is read from the seed's
-PCG64 stream of 32-bit words: each 64-bit output gives its low half, then
-its high half. A draw in [0, r) takes words by Lemire's rule, as
-``Generator.integers`` does: a word w gives (w * r) >> 32, a word with
-(w * r) mod 2**32 < 2**32 mod r is skipped, and a range-1 draw takes no
-word. The initial population draws row after row. A generation draws every
-child's operator, then each child, in population order, makes exactly the
-draws the one-child ``mutate`` makes. The search reads the stream in bulk,
-and ``_mutate_rows`` works out which words each child takes, so the draws
-are those of ``integers`` calls made one after another. A seed thus fixes
-the whole run.
+Draw order. The search draws by Lemire's rule from the seed's PCG64 stream
+of 32-bit words, in the order FORMATS.md gives ("Search result"), each child
+as the one-child ``mutate`` does: the draws of ``Generator.integers`` calls
+made one after another. ``_Words`` reads the stream in bulk, and
+``_mutate_rows`` works out which words each child takes.
 """
 
 from __future__ import annotations
@@ -45,13 +40,11 @@ _UPPER_MARGIN = 1e-9
 _WORD = 0xFFFFFFFF  # the low 32 bits
 _READ = 256  # the fewest 64-bit outputs _Words reads at a time
 
-# _cluster_sums sums clusters of up to max(_GATHER_FLOOR, N // _GATHER_DIVISOR)
-# members pair by pair, to the bit as a per-cluster loop would, and larger
-# ones by a matrix product. The floor keeps the clusters of small instances on
-# the exact pair path. A pair gather or one-hot stack holds about _CHUNK
-# values, at least one cluster's or labeling's.
+# _cluster_sums gathers the pairs of the clusters of up to N // _GATHER_DIVISOR
+# members and takes one product for the larger ones; on the grid of _on_grid
+# both are exact in any order. A pair gather or a block of the product holds
+# about _CHUNK values, at least one cluster's or column's.
 _GATHER_DIVISOR = 8
-_GATHER_FLOOR = 8
 _CHUNK = 1 << 16
 
 
@@ -100,7 +93,8 @@ def sequentialize(labels: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return np.zeros(labels.shape, dtype=np.int64)
     if rows.dtype.kind != "i" or rows.min() < 0 or rows.max() >= n:
-        rows = _dense_codes(rows)  # now in [0, N), first visits unchanged
+        # each label as its rank among the row's labels: in [0, N), same first visits
+        rows = np.array([np.unique(r, return_inverse=True, equal_nan=False)[1] for r in rows])
     # each label's first visit, by one scatter-min of the positions; the
     # first visits then number the labels in the order they occur
     p, k = rows.shape[0], int(rows.max()) + 1
@@ -114,33 +108,32 @@ def sequentialize(labels: np.ndarray) -> np.ndarray:
     return label[visit + n * base].reshape(labels.shape)
 
 
-def _dense_codes(rows: np.ndarray) -> np.ndarray:
-    """Each (P, N) row's labels as their rank among the row's distinct values."""
-    order = np.argsort(rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=1)
-    head = np.ones(rows.shape, dtype=bool)
-    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    codes = np.empty(rows.shape, dtype=np.int64)
-    np.put_along_axis(codes, order, np.cumsum(head, axis=1) - 1, axis=1)
-    return codes
+def _on_grid(values) -> np.ndarray:
+    """A copy of C on multiples of q = 2**(ceil(log2 S) + 2 - 53), S = sum |C_ij|.
 
-
-def _gather_limit(n: int) -> int:
-    """Largest cluster that _cluster_sums sums pair by pair, for N nodes."""
-    return max(_GATHER_FLOOR, n // _GATHER_DIVISOR)
+    Any sum of its entries is a multiple of q below 2**53 q in magnitude, so
+    it is exact in any order. Round from the caller's matrix, once: a rounded
+    copy can sum to the next power of two, and a second rounding doubles q.
+    """
+    c = np.asarray(values, dtype=float)
+    out = np.abs(c, out=np.empty(c.shape))
+    mantissa, exponent = math.frexp(float(out.sum()))
+    q = math.ldexp(1.0, exponent - (mantissa == 0.5) + 2 - 53)
+    np.rint(np.divide(c, q, out=out), out=out)
+    out *= q
+    return out
 
 
 def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sizes n_s and intra-cluster sums c_s of one (N,) or many (P, N) labelings.
 
-    Labels are sequential along the last axis. (P, N) labels give (P, K)
-    tables, K the largest cluster count, with size and sum 0 past a row's
-    clusters. Clusters of up to ``_gather_limit(N)`` members gather their
-    pairs, all clusters of one size at a time, and sum each block as
-    ``corr[np.ix_(idx, idx)].sum()`` does. The L larger clusters of a
-    labeling take one product C @ H with their N x L one-hot matrix H,
-    labelings with equal L in one stacked ``matmul``. Either way a
-    labeling's sums are the same bits alone or in a batch.
+    Labels are sequential along the last axis and ``corr`` is on the grid
+    of ``_on_grid``. (P, N) labels give (P, K) tables, K the largest cluster
+    count, with size and sum 0 past a row's clusters. Clusters of up to
+    N // _GATHER_DIVISOR members gather their pairs, one size at a time; the
+    L larger clusters of the whole batch take one product C @ H, H their
+    N x L one-hot matrix, in blocks of columns. On the grid every sum is
+    exact: ``corr[np.ix_(idx, idx)].sum()``, alone, in a batch or any block.
     """
     rows = np.atleast_2d(labels)
     p, n = rows.shape
@@ -154,7 +147,7 @@ def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.
     starts = np.cumsum(sizes) - sizes
     flat_corr = corr.ravel()
 
-    limit = _gather_limit(n)
+    limit = n // _GATHER_DIVISOR
     small = np.flatnonzero((sizes > 0) & (sizes <= limit))
     small_sizes = sizes[small]
     for size in np.flatnonzero(np.bincount(small_sizes)):
@@ -166,29 +159,33 @@ def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.
             block = np.take(flat_corr, idx[:, :, None] * n + idx[:, None, :])
             sums[ids] = block.reshape(ids.size, size * size).sum(axis=1)
 
-    sizes, sums = sizes.reshape(p, k), sums.reshape(p, k)
-    large = sizes > limit
-    widths = large.sum(axis=1)
-    for width in np.unique(widths[widths > 0]):
-        same = np.flatnonzero(widths == width)
-        step = max(1, _CHUNK // (n * width))
-        for lo in range(0, same.size, step):
-            sel = same[lo:lo + step]
-            cols = np.nonzero(large[sel])[1].reshape(sel.size, width)
-            onehot = (rows[sel][:, :, None] == cols[:, None, :]).astype(float)
-            sums[sel[:, None], cols] = (onehot * np.matmul(corr, onehot)).sum(axis=1)
+    # H's columns are the large clusters; their members, cluster after cluster
+    large = np.flatnonzero(sizes > limit)
+    node = members[np.repeat(sizes > limit, sizes)]
+    col = np.repeat(np.arange(large.size), sizes[large])
+    step = max(1, _CHUNK // n)
+    for lo in range(0, large.size, step):
+        ids = large[lo:lo + step]
+        a, b = np.searchsorted(col, (lo, lo + ids.size))
+        i, j = node[a:b], col[a:b] - lo
+        onehot = np.zeros((n, ids.size))
+        onehot[i, j] = 1.0
+        sums[ids] = np.bincount(j, weights=(corr @ onehot)[i, j], minlength=ids.size)
 
     shape = np.shape(labels)[:-1] + (k,)
     return sizes.reshape(shape), sums.reshape(shape)
 
 
 def _labeling_sums(labeling, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """_cluster_sums of any labeling, its clusters numbered in first-visit order."""
-    return _cluster_sums(sequentialize(labeling), np.asarray(corr.values, dtype=float))
+    """_cluster_sums of any labeling on the grid of C, its clusters in first-visit order."""
+    return _cluster_sums(sequentialize(labeling), _on_grid(corr.values))
 
 
 def cluster_stats(labeling, corr: CorrelationMatrix) -> ClusterStats:
-    """Exact n_s, c_s, g_s per cluster; g_s is nan when n_s <= 1 or c_s <= n_s."""
+    """n_s, c_s and g_s per cluster; g_s is nan when n_s <= 1 or c_s <= n_s.
+
+    c_s is exact on the grid of C (see ``_on_grid``).
+    """
     sizes, sums = _labeling_sums(labeling, corr)
     with np.errstate(invalid="ignore", divide="ignore"):
         g = np.sqrt((sums - sizes) / (sizes.astype(float) ** 2 - sizes))
@@ -231,7 +228,10 @@ _SCORERS = {"lc": _lc_from_sums, "kmeans": _kmeans_from_sums}
 
 
 def likelihood(labeling, corr: CorrelationMatrix) -> float:
-    """Log-likelihood of a labeling; 0 for all-singleton or structureless input."""
+    """Log-likelihood of a labeling; 0 for all-singleton or structureless input.
+
+    A (P, N) array of labelings gives their P scores, the bits of P calls.
+    """
     return _lc_from_sums(*_labeling_sums(labeling, corr))
 
 
@@ -482,7 +482,7 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         raise DomainError("stall_generations must be >= 1")
     if objective not in _SCORERS:
         raise DomainError(f"unknown objective {objective!r}")
-    cvals = np.asarray(corr.values, dtype=float)
+    cvals = _on_grid(corr.values)
     n = cvals.shape[0]
     if n < 2:
         raise DomainError(f"the search needs at least 2 nodes, got {n}")

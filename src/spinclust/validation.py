@@ -29,7 +29,8 @@ def lc_vs_temperature(sweep: list[TemperatureStats],
     n = corr.values.shape[0]
     if sweep[0].labeling.size != n:
         raise DomainError("sweep labelings and correlation matrix disagree on N")
-    return [(st.temperature, likelihood(st.labeling, corr)) for st in sweep]
+    lcs = likelihood(np.stack([st.labeling for st in sweep]), corr)  # C rounded once
+    return [(st.temperature, float(lc)) for st, lc in zip(sweep, lcs)]
 
 
 def ari_vs_temperature(sweep: list[TemperatureStats],

@@ -558,6 +558,31 @@ class TestUsageErrors:
         assert expect in capsys.readouterr().err
         assert not out.exists()
 
+    def test_correlation_col_ids_not_row_ids_exit_1(self, capsys, tmp_path):
+        env = tmp_path / "corr.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": ["a", "b"],
+                                   "col_ids": ["x", "y", "z"],
+                                   "values": [[1.0, 0.5], [0.5, 1.0]]}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("fspc", "--corr", str(env), "--pop", "4", "--gens", "3",
+                   "--output", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {env}: col_ids must equal row_ids in a correlation envelope"]
+        assert not out.exists()
+
+    def test_data_envelope_id_lengths_name_the_file(self, capsys, tmp_path):
+        env = tmp_path / "data.json"
+        env.write_text(json.dumps({"kind": "data", "row_ids": ["a", "b"], "col_ids": ["x"],
+                                   "values": [[1.0, 0.5], [0.5, 1.0]]}))
+        out = tmp_path / "sim.json"
+        capsys.readouterr()
+        assert run("preprocess", "--input", str(env), "--corr", "similarity",
+                   "--output", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {env}: row/col id lengths must match the value shape"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("sub, flag", [("validate", "--sweep"), ("fspc", "--corr")])
     def test_invalid_json_input_exit_1(self, sub, flag, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -409,6 +409,26 @@ class TestEnvelopes:
         with pytest.raises(ParseError, match=expect):
             load_envelope(p)
 
+    @pytest.mark.parametrize("col_ids", [["a", "b", "c"], ["a"], [], ["b", "a"], ["a", 2]],
+                             ids=["longer", "shorter", "empty", "reordered", "number"])
+    def test_correlation_col_ids_must_equal_row_ids(self, tmp_path, col_ids):
+        doc = {"kind": "pearson", "row_ids": ["a", "2"], "col_ids": col_ids,
+               "values": [[1.0, 0.5], [0.5, 1.0]]}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"bad.json: col_ids must equal row_ids"):
+            load_envelope(p)
+
+    @pytest.mark.parametrize("field, ids", [("row_ids", ["a"]), ("col_ids", ["x", "y", "z"])])
+    def test_data_id_lengths_name_the_file(self, tmp_path, field, ids):
+        doc = {"kind": "data", "row_ids": ["a", "b"], "col_ids": ["x", "y"],
+               "values": [[1.0, 0.5], [0.5, 1.0]]}
+        doc[field] = ids
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=r"bad.json: row/col id lengths must match"):
+            load_envelope(p)
+
     @pytest.mark.parametrize("kind", ["pearson", "denoised_rmt", "denoised_imn",
                                       "similarity_from_distance"])
     def test_diagonal_must_be_one(self, tmp_path, kind):

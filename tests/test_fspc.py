@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,11 +17,12 @@ from spinclust.evaluation import adjusted_rand_index
 from spinclust.fspc import (
     MUTATION_KINDS,
     _cluster_sums,
-    _gather_limit,
+    _GATHER_DIVISOR,
     _integers,
     _kmeans_from_sums,
     _lc_from_sums,
     _mutate_rows,
+    _on_grid,
     _Words,
     cluster_stats,
     ga_run,
@@ -130,7 +133,7 @@ def make_labeling(rng, n, shape):
     elif shape == "giant":
         labels = np.zeros(n, dtype=np.int64)
     else:
-        t = _gather_limit(n)
+        t = n // _GATHER_DIVISOR
         labels = rng.integers(2, 6, size=n)
         labels[:t] = 0
         labels[t:2 * t + 1] = 1
@@ -172,25 +175,55 @@ class TestSequentialize:
             np.testing.assert_array_equal(got, sequentialize_reference(row))
 
 
+class TestOnGrid:
+    @given(st.integers(1, 40), st.floats(0.01, 1e3), st.integers(0, 2**32 - 1))
+    def test_rounds_to_the_power_of_two_grid(self, n, scale, seed):
+        c = scale * np.random.default_rng(seed).normal(size=(n, n))
+        before = c.copy()
+        grid = _on_grid(c)
+        np.testing.assert_array_equal(c, before)  # the caller's matrix is not touched
+        total = np.abs(c).sum()
+        q = 2.0 ** (math.ceil(math.log2(total)) + 2 - 53)
+        np.testing.assert_array_equal(grid, np.rint(c / q) * q)
+        assert np.all(np.abs(grid - c) <= q / 2)
+        # every partial sum of the rounded entries stays below 2**53 q
+        assert np.abs(grid).sum() < 2.0**53 * q
+
+    @pytest.mark.parametrize("total, exponent", [(64.0, 6), (np.nextafter(64.0, 0), 6),
+                                                 (np.nextafter(64.0, 65), 7)])
+    def test_power_of_two_edges(self, total, exponent):
+        c = np.full((2, 2), total / 4)
+        grid = _on_grid(c)
+        q = 2.0 ** (exponent + 2 - 53)
+        np.testing.assert_array_equal(grid, np.rint(c / q) * q)
+
+
 class TestClusterSums:
     @given(st.integers(2, 90), st.lists(st.sampled_from(LABELING_SHAPES), min_size=1,
-                                        max_size=5), st.integers(0, 2**32 - 1))
-    def test_batch_matches_reference_and_rows_alone(self, n, shapes, seed):
+                                        max_size=5),
+           st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_batch_matches_reference_and_rows_alone(self, n, shapes, columns, seed):
         rng = np.random.default_rng(seed)
-        corr = np.corrcoef(rng.normal(size=(n, 3 * n)))
+        grid = _on_grid(np.corrcoef(rng.normal(size=(n, 3 * n))))
         batch = np.stack([make_labeling(rng, n, shape) for shape in shapes])
-        sizes, sums = _cluster_sums(batch, corr)
+        sizes, sums = _cluster_sums(batch, grid)
         lcs, kms = _lc_from_sums(sizes, sums), _kmeans_from_sums(sizes, sums)
+        # blocks of `columns` columns of H, and pair gathers of about as many values
+        with patch.object(fspc, "_CHUNK", columns * n):
+            chunked = _cluster_sums(batch, grid)
+        np.testing.assert_array_equal(chunked[0], sizes)
+        np.testing.assert_array_equal(chunked[1], sums)
         for p, labels in enumerate(batch):
-            ref_sizes, ref_sums = cluster_sums_reference(labels, corr)
+            ref_sizes, ref_sums = cluster_sums_reference(labels, grid)
             k = ref_sizes.size
             np.testing.assert_array_equal(sizes[p, :k], ref_sizes)
-            np.testing.assert_allclose(sums[p, :k], ref_sums, rtol=1e-12, atol=0)
-            gathered = ref_sizes <= _gather_limit(n)  # summed as the oracle sums
-            np.testing.assert_array_equal(sums[p, :k][gathered], ref_sums[gathered])
+            np.testing.assert_array_equal(sums[p, :k], ref_sums)
+            onehot = (labels[:, None] == np.arange(k)).astype(float)
+            np.testing.assert_array_equal(sums[p, :k],
+                                          np.einsum("ik,ij,jk->k", onehot, grid, onehot))
             assert not sizes[p, k:].any() and not sums[p, k:].any()
             # the same labeling scored alone gives the same bits
-            alone_sizes, alone_sums = _cluster_sums(labels, corr)
+            alone_sizes, alone_sums = _cluster_sums(labels, grid)
             np.testing.assert_array_equal(alone_sizes, sizes[p, :k])
             np.testing.assert_array_equal(alone_sums, sums[p, :k])
             assert _lc_from_sums(alone_sizes, alone_sums) == lcs[p]
@@ -198,7 +231,8 @@ class TestClusterSums:
 
     def test_population_rows_score_as_alone(self):
         # a GA-like batch: condensed, fragmented and mixed labelings with 0 to
-        # 7 clusters above the gather limit, at N where the limit is N // 8
+        # 7 clusters above the gather limit, at N where the limit is N // 8;
+        # likelihood rounds C to the grid itself
         rng = np.random.default_rng(70)
         n = 120
         corr = CorrelationMatrix(np.corrcoef(rng.normal(size=(n, 300))), "pearson")
@@ -207,9 +241,9 @@ class TestClusterSums:
             labels = np.r_[np.repeat(np.arange(width), 16), np.arange(width, n - 15 * width)]
             rows.append(sequentialize(rng.permutation(labels)))
         batch = np.stack(rows)
-        widths = {int((np.bincount(row) > _gather_limit(n)).sum()) for row in batch}
+        widths = {int((np.bincount(row) > n // _GATHER_DIVISOR).sum()) for row in batch}
         assert widths == set(range(8))
-        scores = _lc_from_sums(*_cluster_sums(batch, np.asarray(corr.values)))
+        scores = _lc_from_sums(*_cluster_sums(batch, _on_grid(corr.values)))
         for labels, score in zip(batch, scores):
             assert likelihood(labels, corr) == score
 
@@ -565,12 +599,21 @@ class TestWords:
 
 
 class TestGaStream:
-    # SHA-256 of fspc result.json, recorded from the per-child operators;
-    # a change of the GA's draw stream or arithmetic changes them
+    # SHA-256 of fspc result.json; a change of the GA's draw stream or of
+    # its arithmetic changes them
     GOLDEN = {
-        "search": "88ab66161864410acc9654f1edc65e7274da8db5ae909b424b405446c61c6165",
-        "kmeans": "1b32402a6855dbfc2e11fdb64b01127e86d0067f39ca7da299aca4731c0f25cb",
-        "stall": "012c53a9f25a1d9eeddc3efaad691aa7a5cdf7b263965f6dd2c61df3b35d06fb",
+        "search": "5823fa1e20f8afd61edd06cef86f909381e9def54e102986850d9b997451d100",
+        "kmeans": "85954779de2857e44cd8a2c6cbe172af4c8bc944d6f353fe8ec5abc0802922d2",
+        "stall": "bf5797594e722aecd6dd02b8930ad19b8c587179daaec3b466af6b2a29dcd523",
+    }
+    # SHA-256 of the search path alone: the JSON list of PATH_FIELDS. It
+    # was recorded before the scores moved to the grid of C and is the
+    # same on it; only the low digits of fitness and history moved
+    PATH_FIELDS = ("best_labels", "generations_run", "operators", "last_improvement")
+    PATH_GOLDEN = {
+        "search": "750ee29b2aa07b8f5672bc7a20cefcec613776e1d21f4e6c880bb92b4bcc3adf",
+        "kmeans": "824972966ed0aa284479311c928c00f11bedbbceb930dd0ed51f1c6d020c5d4c",
+        "stall": "e0e244a464fc38b540f1c42da2743cdfafb1765331b925575dacc4aaf636ac92",
     }
     RUNS = {
         # the bench search shape (N = 80 blobs in 80 dimensions, pop 100), 40 generations
@@ -584,16 +627,25 @@ class TestGaStream:
                   ["--pop", "20", "--gens", "2000", "--stall", "30", "--seed", "4"]),
     }
 
-    @pytest.mark.parametrize("name", sorted(RUNS))
-    def test_result_json_golden(self, name, tmp_path, monkeypatch):
+    def result_bytes(self, name, tmp_path, monkeypatch) -> bytes:
         blobs, ga = self.RUNS[name]
         monkeypatch.chdir(tmp_path)
         assert main(["generate", "blobs", *blobs, "--output", "data.csv"]) == 0
         assert main(["preprocess", "--input", "data.csv", "--corr", "similarity",
                      "--output", "sim.json"]) == 0
         assert main(["fspc", "--corr", "sim.json", *ga, "--output", "result.json"]) == 0
-        digest = hashlib.sha256((tmp_path / "result.json").read_bytes()).hexdigest()
+        return (tmp_path / "result.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_result_json_golden(self, name, tmp_path, monkeypatch):
+        digest = hashlib.sha256(self.result_bytes(name, tmp_path, monkeypatch)).hexdigest()
         assert digest == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_path_golden(self, name, tmp_path, monkeypatch):
+        doc = json.loads(self.result_bytes(name, tmp_path, monkeypatch))
+        path = json.dumps([doc[field] for field in self.PATH_FIELDS]).encode()
+        assert hashlib.sha256(path).hexdigest() == self.PATH_GOLDEN[name]
 
 
 def planted_two_block_corr(n=20, rho=0.8):
@@ -637,6 +689,26 @@ class TestGaRun:
         res = ga_run(corr, pop_size=30, max_generations=150, stall_generations=150,
                      seed=72, objective=objective)
         assert res.fitness == score(res.best_labels, corr)
+        assert res.history[-1] == res.fitness
+
+    @pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_fitness_exact_at_a_power_of_two_total(self, side):
+        # sum |C_ij| just below, at and just above 2**m; below it, the rounded
+        # copy crosses 2**m, so fitness stays exact only if every score
+        # rounds from C itself
+        rng = np.random.default_rng(77)
+        c = np.corrcoef(rng.normal(size=(40, 60)))
+        off = c - np.eye(40)
+        power = 2.0 ** math.floor(math.log2(np.abs(c).sum()))
+        target = power * (1 + side * 2.0**-48)
+        values = np.eye(40) + off * ((target - 40) / np.abs(off).sum())
+        total = np.abs(values).sum()
+        assert (total < power, total == power, total > power)[side + 1]
+        if side < 0:
+            assert np.abs(_on_grid(values)).sum() >= power
+        corr = CorrelationMatrix(values, "pearson")
+        res = ga_run(corr, pop_size=20, max_generations=60, stall_generations=60, seed=78)
+        assert res.fitness == likelihood(res.best_labels, corr)
         assert res.history[-1] == res.fitness
 
     def test_operator_diagnostics(self):
