@@ -279,9 +279,8 @@ def cmd_validate(args) -> int:
         fh.write("".join(md))
     with open(args.output + ".csv", "w", encoding="utf-8") as fh:
         fh.write("T,F,S,chi,mean_m\n")
-        by_t = {st.temperature: st.mean_magnetization for st in sweep}
-        for t, f, s, c in fec:
-            fh.write(f"{t!r},{f!r},{s!r},{c!r},{by_t[t]!r}\n")
+        for (t, f, s, c), st in zip(fec, sweep):
+            fh.write(f"{t!r},{f!r},{s!r},{c!r},{st.mean_magnetization!r}\n")
     print(f"wrote {args.output}.json, {args.output}.md, {args.output}.csv")
     return 0
 

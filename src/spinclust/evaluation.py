@@ -116,8 +116,10 @@ def generate_circles(n: int, noise: float = 0.5, seed: int = 0) -> tuple[DataMat
     noise of scale 0.1 * noise. Returns the 2-D coordinates and the
     ground-truth ring labels (0 = outer, 1 = inner).
     """
-    if n % 2 != 0:
-        raise DomainError("n must be even")
+    if n < 2 or n % 2 != 0:
+        raise DomainError(f"n must be even and >= 2, got {n}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise DomainError(f"noise must be a finite number >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     half = n // 2
     coords = np.zeros((n, 2))
@@ -146,6 +148,11 @@ def generate_blobs(n: int, dims: int, sigmas, seed: int = 0) -> tuple[DataMatrix
         raise DomainError("need at least one sigma and n >= number of clusters")
     if dims < 2:
         raise DomainError("dims must be >= 2")
+    for s in sigmas:
+        if not (math.isfinite(s) and s >= 0):
+            raise DomainError(f"sigmas must be finite numbers >= 0, got {s!r}")
+    if not math.isfinite(20.0 * max(sigmas)):
+        raise DomainError(f"sigmas must keep 20 * max(sigmas) finite, got {max(sigmas)!r}")
     rng = np.random.default_rng(seed)
     reach = 10.0 * max(sigmas)
     for _ in range(1000):

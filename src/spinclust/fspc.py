@@ -18,8 +18,9 @@ the run stops after a fixed number of generations without improvement.
 Draw order. The search draws by Lemire's rule from the seed's PCG64 stream
 of 32-bit words, in the order FORMATS.md gives ("Search result"), each child
 as the one-child ``mutate`` does: the draws of ``Generator.integers`` calls
-made one after another. ``_Words`` reads the stream in bulk, and
-``_mutate_rows`` works out which words each child takes.
+made one after another. ``_Words`` reads the stream ahead in bulk, and
+``_mutate_rows`` works out which words each child takes; numpy keeps the
+Generator's state.
 """
 
 from __future__ import annotations
@@ -256,54 +257,36 @@ class _Words:
 
     Each 64-bit output gives its low half, then its high half; a half left
     buffered by an earlier draw comes first. ``read(count)`` makes at least
-    ``count`` words available from the cursor on in ``words``, and their top
-    bits, the values of range-2 draws, as the bytes ``top``. ``take(used)``
-    moves the cursor past ``used`` words. ``close()`` gives back the words
-    read but not taken and leaves the Generator's state as one-word draws
-    of the words taken would.
+    ``count`` words available from the cursor on in ``words``, read ahead
+    from the Generator in bulk. ``take(used)`` moves the cursor past
+    ``used`` words. ``close()`` gives back the words read but not taken:
+    it restores the Generator's state from the open and makes the one-word
+    draws of the words taken.
     """
 
     def __init__(self, rng: np.random.Generator):
-        self._bits = rng.bit_generator
-        if not isinstance(self._bits, np.random.PCG64):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
             raise DomainError("the GA draws from a PCG64 generator, "
-                              f"got {type(self._bits).__name__}")
-        self._state = self._bits.state
-        self._buffered = self._state["has_uint32"]
-        self._raw = 0  # 64-bit outputs read
-        self._taken = 0  # words taken
-        self._last = 0  # the last word taken
-        self.words = np.array([self._state["uinteger"]] * self._buffered, dtype=np.uint32)
-        self.top = (self.words >= 1 << 31).tobytes()
+                              f"got {type(rng.bit_generator).__name__}")
+        self._rng = rng
+        self._state = state = rng.bit_generator.state
+        self._taken = 0
+        self.words = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
 
     def read(self, count: int) -> None:
         short = count - self.words.size
         if short > 0:
-            raw = self._bits.random_raw(max((short + 1) // 2, _READ))
-            self._raw += raw.size
+            raw = self._rng.bit_generator.random_raw(max((short + 1) // 2, _READ))
             halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
             self.words = np.concatenate([self.words, halves]).astype(np.uint32, copy=False)
-            self.top = (self.words >= 1 << 31).tobytes()
 
     def take(self, used: int) -> None:
-        if used:
-            self._last = int(self.words[used - 1])
-            self._taken += used
-            self.words, self.top = self.words[used:], self.top[used:]
+        self._taken += used
+        self.words = self.words[used:]
 
     def close(self) -> None:
-        state = self._state
-        if self._taken:
-            taken = self._taken - self._buffered  # words taken from the outputs read
-            raw = (taken + 1) // 2
-            if raw < self._raw:
-                self._bits.advance(2**128 - (self._raw - raw))
-            state = self._bits.state
-            state["has_uint32"] = taken % 2
-            # integers leaves the last output's high half behind, taken or not
-            state["uinteger"] = (int(self.words[0]) if taken % 2
-                                 else self._last if taken else self._state["uinteger"])
-        self._bits.state = state
+        self._rng.bit_generator.state = self._state
+        self._rng.integers(0, 2**32, size=self._taken, dtype=np.uint64)
 
 
 def _integers(high: int, size: int, words: _Words) -> np.ndarray:
@@ -392,7 +375,7 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, words: _Words) -> np.ndarra
             picks[j] = offsets[j] + pick
             size = member_counts[picks[j]]
             words.read(at + size)
-            while words.top.count(1, at, at + size) in (0, size):
+            while np.count_nonzero(words.words[at:at + size] >> 31) in (0, size):
                 at += size
                 words.read(at + size)
             tries[j] = at
@@ -449,7 +432,8 @@ def mutate(labeling, kind: str, rng: np.random.Generator) -> np.ndarray:
     split on an all-singleton labeling and merge on a single-cluster
     labeling are no-ops returning the input partition. ``rng`` must draw
     from PCG64, as ``np.random.default_rng`` does; it is left as the
-    operator's ``integers`` calls would leave it.
+    operator's ``integers`` calls would leave it, by one-word draws of the
+    words the operator took.
     """
     if kind not in MUTATION_KINDS:
         raise DomainError(f"unknown mutation kind {kind!r}")

@@ -409,7 +409,8 @@ def sweep_from_json(doc: dict) -> list[TemperatureStats]:
     """The sweep of an ``spc_sweep`` document.
 
     A malformed document is a ParseError naming the record (0-based) and the
-    key; every record must hold as many labels as record 0.
+    key; every record must hold as many labels as record 0, and a higher
+    ``T`` than the record before it.
     """
     if not isinstance(doc, dict):
         raise ParseError("sweep document is not a JSON object")
@@ -425,6 +426,9 @@ def sweep_from_json(doc: dict) -> list[TemperatureStats]:
             if sweep and st.labeling.size != sweep[0].labeling.size:
                 raise ParseError(f"key 'labels' holds {st.labeling.size} labels, "
                                  f"record 0 holds {sweep[0].labeling.size}")
+            if sweep and st.temperature <= sweep[-1].temperature:
+                raise ParseError(f"key 'T' is {st.temperature!r}, not above record "
+                                 f"{index - 1}'s {sweep[-1].temperature!r}")
         except ParseError as exc:
             raise ParseError(f"record {index}: {exc}") from None
         sweep.append(st)

@@ -129,22 +129,15 @@ def phase_report(sweep: list[TemperatureStats]) -> PhaseReport:
 
     segments: dict[str, list[float]] = {"ferromagnetic": [], "super_paramagnetic": [],
                                         "paramagnetic": []}
-    sp_window = None
-    if peaks:
-        lo, hi = peaks[0][0], peaks[-1][0]
-        sp_window = (lo, hi)
-        for t in ts:
-            if t < lo:
-                segments["ferromagnetic"].append(t)
-            elif t <= hi:
-                segments["super_paramagnetic"].append(t)
-            else:
-                segments["paramagnetic"].append(t)
-    else:
-        segments["paramagnetic"] = list(ts)
-
-    sizes: dict[str, list[tuple[float, list[int]]]] = {}
-    by_t = {st.temperature: st.cluster_sizes for st in sweep}
-    for seg, seg_ts in segments.items():
-        sizes[seg] = [(t, by_t[t]) for t in seg_ts]
+    sizes: dict[str, list[tuple[float, list[int]]]] = {seg: [] for seg in segments}
+    sp_window = (peaks[0][0], peaks[-1][0]) if peaks else None
+    for t, st in zip(ts, sweep):
+        if sp_window is None or t > sp_window[1]:
+            seg = "paramagnetic"
+        elif t < sp_window[0]:
+            seg = "ferromagnetic"
+        else:
+            seg = "super_paramagnetic"
+        segments[seg].append(t)
+        sizes[seg].append((t, st.cluster_sizes))
     return PhaseReport(list(ts), chi.tolist(), peaks, sp_window, segments, sizes)

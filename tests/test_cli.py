@@ -384,9 +384,24 @@ class TestSpcFspcValidateMst:
         "mst.json": "d9703d2658ad24a324c7c9b355cf9976dc16f116dbce4ee2589eb1adcae94e0b",
         "mst.dot": "9c1bcf528fc6be863890360dcc005fe223a96a21d6631f8460e956088bdc4a50",
     }
+    # sha256 of every file the pipeline writes (its envelope sidecar has its
+    # own load check), and of a validate report and an mst on those files:
+    # the walkthrough's bytes, which a refactor must keep
+    WALKTHROUGH_GOLDEN = {
+        "blobs.csv": "fbc39482bcff1559b1976cb0c09f6eb56c3520470257c48a9cc7ce00298045f2",
+        "blobs.csv.labels.csv": "dde34a1c540efa52eec3d2480074311d424395e242fb93a2ecb8461c2178ca07",
+        "sim.json": "a5b89adf967efa701c45d00e0965d8759ccf1fd851f63bf1c2d17ede2c77640a",
+        "sweep.json": "4b480998b86b1b912c2902c127202c968b1af01a31c62a8658d10bec52325117",
+        "fspc.json": "3570617371c993e4d7abc7ddafba5317992224713f1ff7b987f19a85d648ac4c",
+        "report.json": "4def1ce8442805ff6ccc3195d22eb36049cfc27572936b55f3e23c28122af6eb",
+        "report.md": "e041a1702fb078941700fb4f01d4c85180dfd3e2f34bfef6aec17663bea119ec",
+        "report.csv": "0255468866aa91ff9da633b14439f30cc1f7b11d8a255e383556cd6706c2563d",
+        "mst.json": "3e582e1cc5bd85392c8c1bdf88d24bb881c0ed1932072f4200b9f530c8bb122a",
+        "mst.dot": "991df370b9fd12aa4964a4457ac6ad5d0246d29fd8dc9c8744bd41db87f653c0",
+    }
 
     def test_similarity_envelope_outputs_golden(self, pipeline, tmp_path):
-        _, _, sim, _, _ = pipeline
+        root, data, sim, sweep, result = pipeline
         assert run("spc", "--input", str(sim), "--k", "4", "--q", "20",
                    "--t", "0.01:0.15:0.02", "--steps", "300", "--burn-in", "60",
                    "--seed", "7", "--output", str(tmp_path / "sweep.json")) == 0
@@ -394,6 +409,20 @@ class TestSpcFspcValidateMst:
                    "--dot", str(tmp_path / "mst.dot")) == 0
         for name, digest in self.SIM_GOLDEN.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+        walk = tmp_path / "walk"
+        walk.mkdir()
+        assert run("validate", "--sweep", str(sweep), "--corr", str(sim), "--reference",
+                   str(result), "--output", str(walk / "report")) == 0
+        assert run("mst", "--input", str(data), "--output", str(walk / "mst.json"),
+                   "--dot", str(walk / "mst.dot")) == 0
+        written = [root / name for name in ("blobs.csv", "blobs.csv.labels.csv", "sim.json",
+                                            "sweep.json", "fspc.json")]
+        written += sorted(walk.iterdir())
+        assert sorted(p.name for p in written) == sorted(self.WALKTHROUGH_GOLDEN)
+        for path in written:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == self.WALKTHROUGH_GOLDEN[path.name], path.name
 
     def test_spc_reruns_byte_identical(self, pipeline, tmp_path):
         _, data, _, _, _ = pipeline
@@ -490,6 +519,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: --sigmas item 'abc' is not a number"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["blobs", "--sigmas", "nan"], "sigmas must be finite numbers >= 0, got nan"),
+        (["blobs", "--sigmas", "0.5,-1"], "sigmas must be finite numbers >= 0, got -1.0"),
+        (["blobs", "--sigmas", "1e308,1"],
+         "sigmas must keep 20 * max(sigmas) finite, got 1e+308"),
+        (["circles", "--noise", "-1"], "noise must be a finite number >= 0, got -1.0"),
+        (["circles", "--noise", "inf"], "noise must be a finite number >= 0, got inf"),
+        (["circles", "--n", "-4"], "n must be even and >= 2, got -4"),
+        (["circles", "--n", "0"], "n must be even and >= 2, got 0"),
+        (["circles", "--n", "7"], "n must be even and >= 2, got 7"),
+    ], ids=["nan_sigma", "negative_sigma", "overflowing_sigma", "negative_noise",
+            "infinite_noise", "negative_n", "zero_n", "odd_n"])
+    def test_generate_bad_number_exit_1(self, argv, expect, capsys, tmp_path):
+        out = tmp_path / "g.csv"
+        capsys.readouterr()
+        assert run("generate", *argv, "--output", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {expect}"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
     def test_threads_below_one_exit_2(self, flag, capsys, tmp_path):
@@ -651,6 +699,8 @@ class TestUsageErrors:
          "record 1: key 'g_edges': item 1 is [0, 1], not an [i, j, G] triple"),
         (("records", 7, "g_edges"), [[0, -1, 0.5]],
          "record 7: key 'g_edges': item 0 is [0, -1, 0.5], not an [i, j, G] triple"),
+        (("records", 2, "T"), 0.07, "record 3: key 'T' is 0.07, not above record 2's 0.07"),
+        (("records", 4, "T"), 0.02, "record 4: key 'T' is 0.02, not above record 3's 0.07"),
         (("kind",), "fspc_result", "not a sweep document"),
         (("records",), [], "phase_report needs at least 3 grid points"),
     ], ids=["not_object", "no_records", "records_not_list", "record_not_object",
@@ -658,7 +708,7 @@ class TestUsageErrors:
             "negative_label",
             "float_label", "label_past_count", "no_labels", "short_labels", "long_labels",
             "string_energy", "infinite_energy", "pair_edge", "negative_edge_node",
-            "wrong_kind", "empty_records"])
+            "repeated_t", "falling_t", "wrong_kind", "empty_records"])
     def test_malformed_sweep_exit_1(self, path, value, expect, pipeline, capsys, tmp_path):
         _, _, _, sweep, _ = pipeline
         bad = tmp_path / "bad.json"
@@ -781,25 +831,39 @@ class TestStartup:
         assert loaded == "[]"
 
     def test_import_and_spc_run_load_no_scipy(self, tmp_path):
-        """The chain labels its clusters with numpy alone; scipy is a test-only oracle."""
+        """numpy is the only runtime dependency; scipy is a test-only oracle.
+
+        A fresh process imports the CLI and runs a tiny walkthrough, one
+        subcommand after another, and lists the scipy modules loaded after each.
+        """
         src = str(Path(spinclust.__file__).resolve().parents[1])
-        data = tmp_path / "blobs.csv"
-        assert run("generate", "blobs", "--n", "30", "--dims", "3", "--seed", "1",
-                   "--output", str(data)) == 0
-        spc = ["spc", "--input", str(data), "--k", "5", "--t", "0.01:0.05:0.02",
-               "--steps", "20", "--burn-in", "5", "--threads", "1",
-               "--output", str(tmp_path / "sweep.json")]
-        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+        data, sim, sweep, result = (str(tmp_path / name) for name in
+                                    ("blobs.csv", "sim.json", "sweep.json", "fspc.json"))
+        steps = [
+            ["generate", "blobs", "--n", "30", "--dims", "3", "--seed", "1", "--output", data],
+            ["preprocess", "--input", data, "--corr", "similarity", "--output", sim],
+            ["spc", "--input", data, "--k", "5", "--t", "0.01:0.05:0.02", "--steps", "20",
+             "--burn-in", "5", "--threads", "1", "--output", sweep],
+            ["fspc", "--corr", sim, "--pop", "10", "--gens", "30", "--stall", "10",
+             "--output", result],
+            ["validate", "--sweep", sweep, "--corr", sim, "--reference", result,
+             "--output", str(tmp_path / "report")],
+            ["mst", "--input", data, "--output", str(tmp_path / "mst.json"),
+             "--dot", str(tmp_path / "mst.dot")],
+        ]
+        code = (f"import json, sys; sys.path.insert(0, {src!r})\n"
                 "def scipy_loaded():\n"
                 "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-                "import spinclust; print(spinclust.__file__); print(scipy_loaded())\n"
-                "import spinclust.cli; print(scipy_loaded())\n"
-                f"assert spinclust.cli.main({spc!r}) == 0; print(scipy_loaded())\n")
+                "import spinclust; where = spinclust.__file__; loaded = [scipy_loaded()]\n"
+                "import spinclust.cli; loaded.append(scipy_loaded())\n"
+                f"for argv in {steps!r}:\n"
+                "    assert spinclust.cli.main(argv) == 0, argv\n"
+                "    loaded.append(scipy_loaded())\n"
+                "print(where); print(json.dumps(loaded))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120, check=True)
-        where, *loaded = proc.stdout.splitlines()
+        *_, where, loaded = proc.stdout.splitlines()
         assert Path(where).resolve().parents[1] == Path(src)
-        # after `import spinclust`, after `import spinclust.cli`, the spc run's own
-        # line, after the spc run
-        assert loaded[0] == loaded[1] == loaded[-1] == "[]" and len(loaded) == 4
-        assert json.loads((tmp_path / "sweep.json").read_text())["records"]
+        # after `import spinclust`, after `import spinclust.cli`, after each step
+        assert json.loads(loaded) == [[]] * (2 + len(steps))
+        assert json.loads((tmp_path / "report.json").read_text())["lc_curve"]
