@@ -33,7 +33,7 @@ from .dataset import (
     save_envelope,
     write_json,
 )
-from .errors import DomainError, ParseError, SpinclustError
+from .errors import DomainError, ParseError, SpinclustError, prefixed
 from .evaluation import generate_blobs, generate_circles, minimum_spanning_tree
 from .fspc import ga_run
 from .preprocess import imn_denoise, min_max_scale, rmt_denoise
@@ -109,30 +109,31 @@ def _read_labels(path: str) -> np.ndarray:
     Each label must be a finite number equal to an integer that fits int64;
     anything else is a ParseError naming the CSV line or the JSON index.
     """
-    if path.endswith(".json"):
-        doc = read_json(path)
-        labels = doc.get("best_labels") if isinstance(doc, dict) else None
-        if not isinstance(labels, list):
-            raise ParseError(f"{path}: no labels found in JSON document")
-        entries = [(f"at best_labels[{k}]", value) for k, value in enumerate(labels)]
-    else:
-        entries = []
-        with open_text(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                text = line.strip()
-                if text:
-                    try:  # digits alone parse as int: no rounding above 2**53
-                        value = int(text) if text.lstrip("+-").isdigit() else float(text)
-                    except ValueError:
-                        value = text
-                    entries.append((f"on line {line_no}", value))
-    out = []
-    for where, value in entries:
-        if type(value) is float and value.is_integer():
-            value = int(value)
-        if type(value) is not int or not -2**63 <= value < 2**63:
-            raise ParseError(f"{path}: bad label {where}: {value!r} is not an int64 integer")
-        out.append(value)
+    doc = read_json(path) if path.endswith(".json") else None
+    with prefixed(path):
+        if path.endswith(".json"):
+            labels = doc.get("best_labels") if isinstance(doc, dict) else None
+            if not isinstance(labels, list):
+                raise ParseError("no labels found in JSON document")
+            entries = [(f"at best_labels[{k}]", value) for k, value in enumerate(labels)]
+        else:
+            entries = []
+            with open_text(path) as fh:
+                for line_no, line in enumerate(fh, 1):
+                    text = line.strip()
+                    if text:
+                        try:  # digits alone parse as int: no rounding above 2**53
+                            value = int(text) if text.lstrip("+-").isdigit() else float(text)
+                        except ValueError:
+                            value = text
+                        entries.append((f"on line {line_no}", value))
+        out = []
+        for where, value in entries:
+            if type(value) is float and value.is_integer():
+                value = int(value)
+            if type(value) is not int or not -2**63 <= value < 2**63:
+                raise ParseError(f"bad label {where}: {value!r} is not an int64 integer")
+            out.append(value)
     return np.asarray(out, dtype=np.int64)
 
 
@@ -250,26 +251,26 @@ def cmd_fspc(args) -> int:
 
 def cmd_validate(args) -> int:
     sweep_doc = read_json(args.sweep)
-    try:
+    with prefixed(args.sweep):
         sweep = sweep_from_json(sweep_doc)
         report = phase_report(sweep)
-    except (ParseError, DomainError) as exc:  # the file is at fault: name it
-        raise type(exc)(f"{args.sweep}: {exc}") from None
+        fec = free_energy_curve(sweep)
     doc = report.to_dict()
     md = [report.to_markdown()]
-
-    fec = free_energy_curve(sweep)
     doc["free_energy"] = [{"T": t, "F": f, "S": s, "chi": c} for t, f, s, c in fec]
 
     if args.corr:
-        curve = lc_vs_temperature(sweep, _load_correlation(args.corr))
+        corr = _load_correlation(args.corr)
+        with prefixed(args.corr):
+            curve = lc_vs_temperature(sweep, corr)
         doc["lc_curve"] = [{"T": t, "lc": v} for t, v in curve]
         best_t, best_lc = max(curve, key=lambda tv: tv[1])
         md.append(f"\nLikelihood argmax: T={best_t:g} (L_c={best_lc:.4f})\n")
 
     if args.reference:
         ref = _read_labels(args.reference)
-        curve = ari_vs_temperature(sweep, ref)
+        with prefixed(args.reference):
+            curve = ari_vs_temperature(sweep, ref)
         doc["ari_curve"] = [{"T": t, "ari": v} for t, v in curve]
         best_t, best_ari = max(curve, key=lambda tv: tv[1])
         md.append(f"\nARI maximum vs reference: T={best_t:g} (ARI={best_ari:.4f})\n")

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     InsufficientOverlapError,
     ParseError,
+    prefixed,
 )
 
 CORRELATION_KINDS = ("pearson", "denoised_rmt", "denoised_imn", "similarity_from_distance")
@@ -187,8 +188,8 @@ def _square_rows(a: np.ndarray):
 def open_text(path, newline=None):
     """Open ``path`` as UTF-8 text for reading.
 
-    A byte that is not UTF-8 becomes a ParseError naming the file and the
-    byte's offset in it (the decoder's own offset counts from its chunk).
+    A byte that is not UTF-8 becomes a ParseError naming the byte's offset
+    in the file (the decoder's own offset counts from its chunk).
     """
     with open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
@@ -199,18 +200,18 @@ def open_text(path, newline=None):
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
                                  f"at offset {exc.start}") from None
             raise
 
 
 def read_json(path):
     """Parse the JSON file at ``path``; malformed JSON is a ParseError naming the file."""
-    with open_text(path) as fh:
+    with prefixed(path), open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
+            raise ParseError(f"invalid JSON ({exc})") from None
 
 
 def save_envelope(obj: DataMatrix | CorrelationMatrix, path) -> None:
@@ -234,33 +235,30 @@ def load_envelope(path) -> DataMatrix | CorrelationMatrix:
     on disk (see _load_sidecar), and from the JSON text otherwise; the
     checks on the matrix are the same either way.
     """
-    corr = _load_sidecar(path)
-    if corr is None:
-        doc = read_json(path)
-        for key in ("kind", "row_ids", "col_ids", "values"):
-            if not isinstance(doc, dict) or key not in doc:
-                raise ParseError(f"{path}: envelope missing field {key!r}")
-        for key in ("row_ids", "col_ids"):
-            if not isinstance(doc[key], list):
-                raise ParseError(f"{path}: {key} is {doc[key]!r}, not a list of ids")
-        raw = _value_rows(doc["values"], path)
-        if doc["kind"] == "data":
-            row_ids, col_ids = ([str(x) for x in doc[key]] for key in ("row_ids", "col_ids"))
-            _check_cell_types(raw, row_ids, col_ids, path)
-            mask = np.array([[cell is not None for cell in row] for row in raw], dtype=bool)
-            vals = _cells([[0.0 if cell is None else cell for cell in row] for row in raw], path)
-            try:
+    sidecar = _load_sidecar(path)
+    doc = read_json(path) if sidecar is None else None
+    with prefixed(path):
+        if sidecar is None:
+            for key in ("kind", "row_ids", "col_ids", "values"):
+                if not isinstance(doc, dict) or key not in doc:
+                    raise ParseError(f"envelope missing field {key!r}")
+            for key in ("row_ids", "col_ids"):
+                if not isinstance(doc[key], list):
+                    raise ParseError(f"{key} is {doc[key]!r}, not a list of ids")
+            raw = _value_rows(doc["values"])
+            if doc["kind"] == "data":
+                row_ids, col_ids = ([str(x) for x in doc[key]] for key in ("row_ids", "col_ids"))
+                mask = np.array([[cell is not None for cell in row] for row in raw], dtype=bool)
+                vals = np.where(mask, _cells(raw, row_ids, col_ids), 0.0)
                 return DataMatrix(vals, mask, row_ids=row_ids, col_ids=col_ids)
-            except DomainError as exc:
-                raise type(exc)(f"{path}: {exc}") from None
-        if doc["kind"] not in CORRELATION_KINDS:
-            raise ParseError(f"{path}: unknown envelope kind {doc['kind']!r}")
-        if doc["col_ids"] != doc["row_ids"]:
-            raise ParseError(f"{path}: col_ids must equal row_ids in a correlation envelope")
-        row_ids = [str(r) for r in doc["row_ids"]]
-        _check_cell_types(raw, row_ids, row_ids, path)
-        corr = CorrelationMatrix(_cells(raw, path), doc["kind"], row_ids=row_ids)
-    _check_envelope_correlation(corr, path)
+            if doc["kind"] not in CORRELATION_KINDS:
+                raise ParseError(f"unknown envelope kind {doc['kind']!r}")
+            if doc["col_ids"] != doc["row_ids"]:
+                raise ParseError("col_ids must equal row_ids in a correlation envelope")
+            row_ids = [str(r) for r in doc["row_ids"]]
+            sidecar = _cells(raw, row_ids, row_ids), doc["kind"], row_ids
+        corr = CorrelationMatrix(*sidecar)
+        _check_envelope_correlation(corr)
     return corr
 
 
@@ -310,8 +308,8 @@ def _write_sidecar(corr: CorrelationMatrix, path, sidecar: str) -> None:
         raise
 
 
-def _load_sidecar(path) -> CorrelationMatrix | None:
-    """The correlation in ``path``'s sidecar, or None when none is valid for it.
+def _load_sidecar(path) -> tuple | None:
+    """(values, kind, row_ids) from ``path``'s sidecar, or None when none is valid for it.
 
     A sidecar is valid when ``np.load`` opens it without unpickling, it holds
     the four arrays _write_sidecar writes, and its digest is the SHA-256 of
@@ -323,34 +321,33 @@ def _load_sidecar(path) -> CorrelationMatrix | None:
         with np.load(_sidecar_path(path), allow_pickle=False) as z:
             if str(z["digest"]) != _file_digest(path):
                 return None
-            values, kind, row_ids = z["values"], str(z["kind"]), z["row_ids"].tolist()
+            return z["values"], str(z["kind"]), z["row_ids"].tolist()
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    return CorrelationMatrix(values, kind, row_ids=row_ids)
 
 
-def _value_rows(raw, path) -> list:
+def _value_rows(raw) -> list:
     """The envelope's ``values``: a non-empty list of rows, all as long as the first.
 
     A ParseError names the first row (0-based) that is not a list or has
     another length.
     """
     if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{path}: values must be a non-empty list of rows")
+        raise ParseError("values must be a non-empty list of rows")
     for i, row in enumerate(raw):
         if not isinstance(row, list):
-            raise ParseError(f"{path}: values[{i}] is {row!r}, not a list of cells")
+            raise ParseError(f"values[{i}] is {row!r}, not a list of cells")
         if len(row) != len(raw[0]):
-            raise ParseError(f"{path}: values[{i}] has {len(row)} cells, "
-                             f"values[0] has {len(raw[0])}")
+            raise ParseError(f"values[{i}] has {len(row)} cells, values[0] has {len(raw[0])}")
     return raw
 
 
-def _check_cell_types(rows: list, row_ids: list, col_ids: list, path) -> None:
-    """Reject a cell that is not a JSON number or null, such as ``true`` or ``"0.5"``.
+def _cells(rows: list, row_ids: list, col_ids: list) -> np.ndarray:
+    """The envelope's cells as floats, ``null`` as NaN.
 
-    The ParseError names the first such cell (row-major) by row and column
-    id, or by 0-based index past the end of the ids.
+    A cell that is not a JSON number or null, such as ``true`` or ``"0.5"``, is a
+    ParseError naming the first (row-major) by row and column id, or by 0-based
+    index past the end of the ids.
     """
     for i, row in enumerate(rows):
         if set(map(type, row)) <= _CELL_TYPES:
@@ -358,18 +355,14 @@ def _check_cell_types(rows: list, row_ids: list, col_ids: list, path) -> None:
         j = next(j for j, cell in enumerate(row) if type(cell) not in _CELL_TYPES)
         rid = row_ids[i] if i < len(row_ids) else str(i)
         cid = col_ids[j] if j < len(col_ids) else str(j)
-        raise ParseError(f"{path}: non-numeric cell {json.dumps(row[j])} at row {rid!r}, "
-                         f"column {cid!r}")
-
-
-def _cells(rows: list, path) -> np.ndarray:
+        raise ParseError(f"non-numeric cell {json.dumps(row[j])} at row {rid!r}, column {cid!r}")
     try:
         return np.asarray(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: non-numeric cell in values ({exc})") from None
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(f"non-numeric cell in values ({exc})") from None
 
 
-def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
+def _check_envelope_correlation(corr: CorrelationMatrix) -> None:
     """Reject a loaded correlation that breaks the envelope contract.
 
     Cells must be finite, the matrix symmetric and its diagonal 1 (both
@@ -379,30 +372,28 @@ def _check_envelope_correlation(corr: CorrelationMatrix, path) -> None:
     """
     a, ids = corr.values, corr.row_ids
     if len(ids) != corr.n:
-        raise ParseError(f"{path}: {len(ids)} row ids for a {corr.n} x {corr.n} matrix")
+        raise ParseError(f"{len(ids)} row ids for a {corr.n} x {corr.n} matrix")
     bad = ~np.isfinite(a)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ParseError(f"{path}: non-finite value {float(a[i, j])} at row {ids[i]!r}, "
-                         f"column {ids[j]!r}")
+        raise ParseError(f"non-finite value {float(a[i, j])} at row {ids[i]!r}, column {ids[j]!r}")
     # equal cells are close, so isclose runs only where a != a.T (row-major order)
     rows, cols = np.nonzero(a != a.T)
     skew = ~np.isclose(a[rows, cols], a[cols, rows], atol=_SYMMETRY_ATOL)
     if skew.any():
         k = int(np.argmax(skew))
         i, j = rows[k], cols[k]
-        raise DomainError(f"{path}: correlation matrix is not symmetric: "
+        raise DomainError(f"correlation matrix is not symmetric: "
                           f"({ids[i]!r}, {ids[j]!r}) is {float(a[i, j])!r} but "
                           f"({ids[j]!r}, {ids[i]!r}) is {float(a[j, i])!r}")
     off = np.abs(np.diag(a) - 1.0) > _UNIT_TOL
     if off.any():
         i = int(np.argmax(off))
-        raise DomainError(f"{path}: diagonal entry ({ids[i]!r}, {ids[i]!r}) is "
-                          f"{float(a[i, i])!r}, not 1")
+        raise DomainError(f"diagonal entry ({ids[i]!r}, {ids[i]!r}) is {float(a[i, i])!r}, not 1")
     big = np.abs(a) > 1.0 + _UNIT_TOL
     if big.any():
         i, j = np.argwhere(big)[0]
-        raise DomainError(f"{path}: {corr.kind} entry ({ids[i]!r}, {ids[j]!r}) is "
+        raise DomainError(f"{corr.kind} entry ({ids[i]!r}, {ids[j]!r}) is "
                           f"{float(a[i, j])!r}, outside [-1, 1]")
 
 
@@ -412,43 +403,42 @@ def load_matrix(path, has_header: bool = True) -> DataMatrix:
     Raises ParseError naming the offending row for ragged input, or the
     (row, column) coordinates for a non-numeric or non-finite cell.
     """
-    with open_text(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
-    rows = [row for row in rows if row]  # drop fully empty lines
-    if not rows:
-        raise ParseError(f"{path}: empty file")
+    with prefixed(path):
+        with open_text(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh)]
+        rows = [row for row in rows if row]  # drop fully empty lines
+        if not rows:
+            raise ParseError("empty file")
 
-    col_ids: list[str] = []
-    if has_header:
-        col_ids = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise ParseError(f"{path}: header only, no data rows")
+        col_ids: list[str] = []
+        if has_header:
+            col_ids = [c.strip() for c in rows[0]]
+            rows = rows[1:]
+        if not rows:
+            raise ParseError("header only, no data rows")
 
-    width = len(rows[0])
-    values = np.zeros((len(rows), width))
-    mask = np.ones((len(rows), width), dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: ragged row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                mask[i, j] = False
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}: non-finite cell at row {i + 1}, column {j + 1}: {cell!r}")
-            values[i, j] = value
-    if col_ids and len(col_ids) != width:
-        raise ParseError(f"{path}: header has {len(col_ids)} names for {width} columns")
-    return DataMatrix(values, mask, col_ids=col_ids)
+        width = len(rows[0])
+        values = np.zeros((len(rows), width))
+        mask = np.ones((len(rows), width), dtype=bool)
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ParseError(f"ragged row {i + 1} has {len(row)} cells, expected {width}")
+            for j, cell in enumerate(row):
+                cell = cell.strip()
+                if cell == "":
+                    mask[i, j] = False
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite cell at row {i + 1}, column {j + 1}: {cell!r}")
+                values[i, j] = value
+        if col_ids and len(col_ids) != width:
+            raise ParseError(f"header has {len(col_ids)} names for {width} columns")
+        return DataMatrix(values, mask, col_ids=col_ids)
 
 
 def log_returns(prices: DataMatrix) -> DataMatrix:

@@ -5,6 +5,8 @@ so the CLI can map library failures to exit code 1 while genuine bugs
 (ValueError, IndexError, ...) still surface as tracebacks.
 """
 
+from contextlib import contextmanager
+
 
 class SpinclustError(Exception):
     """Base class for all toolkit-level errors."""
@@ -40,3 +42,12 @@ class DegenerateClusterError(DomainError):
 
 class InsufficientGridError(DomainError):
     """Too few temperature grid points for the requested analysis."""
+
+
+@contextmanager
+def prefixed(label):
+    """Re-raise a SpinclustError from the block as its own type, led by ``label: ``."""
+    try:
+        yield
+    except SpinclustError as exc:
+        raise type(exc)(f"{label}: {exc}") from None

@@ -23,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, prefixed
 from .similarity import NeighborGraph, StrengthGraph
 
 
@@ -421,7 +421,7 @@ def sweep_from_json(doc: dict) -> list[TemperatureStats]:
         raise ParseError("key 'records' is missing or not a list")
     sweep = []
     for index, rec in enumerate(records):
-        try:
+        with prefixed(f"record {index}"):
             st = stats_from_record(rec)
             if sweep and st.labeling.size != sweep[0].labeling.size:
                 raise ParseError(f"key 'labels' holds {st.labeling.size} labels, "
@@ -429,7 +429,5 @@ def sweep_from_json(doc: dict) -> list[TemperatureStats]:
             if sweep and st.temperature <= sweep[-1].temperature:
                 raise ParseError(f"key 'T' is {st.temperature!r}, not above record "
                                  f"{index - 1}'s {sweep[-1].temperature!r}")
-        except ParseError as exc:
-            raise ParseError(f"record {index}: {exc}") from None
         sweep.append(st)
     return sweep
