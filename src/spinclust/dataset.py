@@ -30,7 +30,7 @@ CORRELATION_KINDS = ("pearson", "denoised_rmt", "denoised_imn", "similarity_from
 
 _PD_EPS = 1e-10
 
-# entries a[i, j] and a[j, i] count as equal when np.isclose(..., atol=_SYMMETRY_ATOL)
+# a loaded correlation's a[i, j] and a[j, i] may differ by at most this
 _SYMMETRY_ATOL = 1e-12
 
 # a loaded correlation's diagonal must be 1, and |r| <= 1, within this tolerance
@@ -107,11 +107,10 @@ class CorrelationMatrix:
         self.values = np.asarray(self.values, dtype=float)
         if self.kind not in CORRELATION_KINDS:
             raise DomainError(f"unknown correlation kind {self.kind!r}")
-        n, m = self.values.shape
-        if n != m:
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise DomainError("correlation matrix must be square")
         if not self.row_ids:
-            self.row_ids = [str(i) for i in range(n)]
+            self.row_ids = [str(i) for i in range(self.n)]
 
     @property
     def n(self) -> int:
@@ -312,18 +311,19 @@ def _load_sidecar(path) -> tuple | None:
     """(values, kind, row_ids) from ``path``'s sidecar, or None when none is valid for it.
 
     A sidecar is valid when ``np.load`` opens it without unpickling, it holds
-    the four arrays _write_sidecar writes, and its digest is the SHA-256 of
-    the file at ``path`` now. A missing, truncated or pickled sidecar, one
-    written for other JSON, and JSON edited since it was written all give
-    None, and the JSON is parsed.
+    the four arrays _write_sidecar writes (``values`` as float64), and its
+    digest is the SHA-256 of the file at ``path`` now. A missing, truncated
+    or pickled sidecar, one written for other JSON, and JSON edited since it
+    was written all give None, and the JSON is parsed.
     """
     try:
         with np.load(_sidecar_path(path), allow_pickle=False) as z:
             if str(z["digest"]) != _file_digest(path):
                 return None
-            return z["values"], str(z["kind"]), z["row_ids"].tolist()
+            values, kind, row_ids = z["values"], str(z["kind"]), z["row_ids"].tolist()
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
+    return (values, kind, row_ids) if values.dtype == np.float64 else None
 
 
 def _value_rows(raw) -> list:
@@ -379,7 +379,7 @@ def _check_envelope_correlation(corr: CorrelationMatrix) -> None:
         raise ParseError(f"non-finite value {float(a[i, j])} at row {ids[i]!r}, column {ids[j]!r}")
     # equal cells are close, so isclose runs only where a != a.T (row-major order)
     rows, cols = np.nonzero(a != a.T)
-    skew = ~np.isclose(a[rows, cols], a[cols, rows], atol=_SYMMETRY_ATOL)
+    skew = ~np.isclose(a[rows, cols], a[cols, rows], rtol=0, atol=_SYMMETRY_ATOL)
     if skew.any():
         k = int(np.argmax(skew))
         i, j = rows[k], cols[k]

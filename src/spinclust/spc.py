@@ -120,6 +120,7 @@ def stats_from_record(rec: dict) -> TemperatureStats:
 
     A record that is not an object, lacks a key read here or holds a value of
     the wrong JSON type is a ParseError naming the key. Numbers are finite,
+    ``h_max`` is positive, ``energy_samples`` is non-empty and in [0, h_max],
     labels are JSON integers in [0, N), N the label count, and ``g_edges``,
     when present, holds ``[i, j, G]`` triples of two node indices and a number.
     """
@@ -127,12 +128,19 @@ def stats_from_record(rec: dict) -> TemperatureStats:
         raise ParseError("record is not a JSON object")
     scalars = {key: float(_record_value(rec, key, _is_number, "a finite number"))
                for key in ("T", "mean_m", "chi", "mean_H", "h_max")}
+    h_max = scalars["h_max"]
+    if h_max <= 0:
+        raise ParseError(f"key 'h_max' is {rec['h_max']!r}, not positive")
     counts = {key: _record_value(rec, key, lambda v: type(v) is int, "an integer")
               for key in ("n_samples", "q")}
     n = len(_record_value(rec, "labels", lambda v: isinstance(v, list) and v, "a non-empty list"))
     labels = _record_list(rec, "labels", lambda v: _is_index(v) and v < n,
                           f"an integer in [0, {n})")
     energies = _record_list(rec, "energy_samples", _is_number, "a finite number")
+    if not energies:
+        raise ParseError("key 'energy_samples' is [], not a non-empty list")
+    _record_list(rec, "energy_samples", lambda v: 0 <= v <= h_max,
+                 f"in [0, h_max] = [0, {h_max!r}]")
     edges = []
     if "g_edges" in rec:
         edges = _record_list(rec, "g_edges", _is_edge, "an [i, j, G] triple")
@@ -146,7 +154,7 @@ def stats_from_record(rec: dict) -> TemperatureStats:
         n_samples=counts["n_samples"],
         labeling=np.asarray(labels, dtype=np.int64),
         q=counts["q"],
-        h_max=scalars["h_max"],
+        h_max=h_max,
         edge_i=g_edges[:, 0].astype(np.int64),
         edge_j=g_edges[:, 1].astype(np.int64),
         edge_g=g_edges[:, 2].copy(),

@@ -28,7 +28,8 @@ def lc_vs_temperature(sweep: list[TemperatureStats],
         raise DomainError("sweep is empty")
     n = corr.values.shape[0]
     if sweep[0].labeling.size != n:
-        raise DomainError("sweep labelings and correlation matrix disagree on N")
+        raise DomainError(f"correlation matrix is {n} x {n}, sweep labelings have "
+                          f"{sweep[0].labeling.size} nodes")
     lcs = likelihood(np.stack([st.labeling for st in sweep]), corr)  # C rounded once
     return [(st.temperature, float(lc)) for st, lc in zip(sweep, lcs)]
 
@@ -40,7 +41,8 @@ def ari_vs_temperature(sweep: list[TemperatureStats],
     if not sweep:
         raise DomainError("sweep is empty")
     if sweep[0].labeling.size != reference.size:
-        raise DomainError("reference labeling length does not match sweep")
+        raise DomainError(f"reference labeling has {reference.size} labels, sweep labelings "
+                          f"have {sweep[0].labeling.size}")
     return [(st.temperature, adjusted_rand_index(st.labeling, reference))
             for st in sweep]
 

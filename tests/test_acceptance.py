@@ -206,8 +206,7 @@ def batched_lc(parts, c, chunk=20000):
         rows = parts[lo:lo + chunk]
         k = int(rows.max()) + 1
         onehot = (rows[:, :, None] == np.arange(k)).astype(float)
-        block = np.einsum("bik,ij,bjl->bkl", onehot, c, onehot)
-        cs = np.einsum("bkk->bk", block)
+        cs = np.einsum("bik,ij,bjk->bk", onehot, c, onehot)
         ns = onehot.sum(axis=1)
         valid = (ns > 1) & (cs > ns)
         cs = np.minimum(cs, ns * ns - 1e-9)

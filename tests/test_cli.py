@@ -21,7 +21,7 @@ from spinclust.dataset import (
     make_positive_definite,
     pairwise_overlap_correlation,
 )
-from spinclust.errors import DomainError
+from spinclust.errors import DomainError, InsufficientGridError, prefixed
 from spinclust.preprocess import imn_denoise
 from spinclust.similarity import correlation_to_distance, mutual_knn_graph, strength_matrix
 
@@ -463,6 +463,20 @@ class TestSpcFspcValidateMst:
         assert back["records"] == doc["records"]
 
 
+class TestPrefixed:
+    def test_keeps_the_type_and_leads_with_the_label(self):
+        with pytest.raises(InsufficientGridError) as info:
+            with prefixed("a.json"), prefixed("record 2"):
+                raise InsufficientGridError("key 'T' is bad")
+        assert type(info.value) is InsufficientGridError
+        assert str(info.value) == "a.json: record 2: key 'T' is bad"
+
+    def test_other_errors_pass_unchanged(self):
+        with pytest.raises(ValueError, match="^boom$"):
+            with prefixed("a.json"):
+                raise ValueError("boom")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exit_2(self):
         assert run("explode") == 2
@@ -556,7 +570,8 @@ class TestUsageErrors:
         ("abcd", 5.0, -3.0, "('a', 'd') is 5.0 but ('d', 'a') is -3.0"),
         ("abc", 0.0, 0.0, "3 row ids for a 4 x 4 matrix"),
         ("abcd", 3.0, 3.0, "pearson entry ('a', 'd') is 3.0, outside [-1, 1]"),
-    ], ids=["nan", "asymmetric", "short_ids", "above_one"])
+        ("abcd", 0.5, 0.500002, "('a', 'd') is 0.5 but ('d', 'a') is 0.500002"),
+    ], ids=["nan", "asymmetric", "short_ids", "above_one", "asymmetric_relative"])
     def test_bad_correlation_envelope_exit_1(self, ids, upper, lower, expect, capsys, tmp_path):
         c = np.eye(4)
         c[0, 3], c[3, 0] = upper, lower
@@ -631,6 +646,52 @@ class TestUsageErrors:
             f"error: {env}: row/col id lengths must match the value shape"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["fspc"], ["validate", "--sweep", None]],
+                             ids=["fspc", "validate"])
+    def test_non_square_envelope_names_the_file(self, argv, pipeline, capsys, tmp_path):
+        env = tmp_path / "corr.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": ["a", "b"],
+                                   "col_ids": ["a", "b"],
+                                   "values": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]]}))
+        argv = [str(pipeline[3]) if arg is None else arg for arg in argv]
+        capsys.readouterr()
+        assert run(*argv, "--corr", str(env), "--output", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {env}: correlation matrix must be square"]
+        assert [p.name for p in tmp_path.iterdir()] == ["corr.json"]
+
+    @pytest.mark.parametrize("sub", ["preprocess", "spc", "mst"])
+    def test_one_row_csv_names_the_file(self, sub, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("x,y,z\n1,2,3\n")
+        capsys.readouterr()
+        assert run(sub, "--input", str(data), "--output", str(tmp_path / "out.json")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data}: DataMatrix needs N >= 2 and D >= 1, got 1 x 3"]
+        assert not (tmp_path / "out.json").exists()
+
+    def test_validate_corr_size_names_both(self, pipeline, capsys, tmp_path):
+        env = tmp_path / "corr.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": list("abc"),
+                                   "col_ids": list("abc"), "values": np.eye(3).tolist()}))
+        capsys.readouterr()
+        assert run("validate", "--sweep", str(pipeline[3]), "--corr", str(env),
+                   "--output", str(tmp_path / "rep")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {env}: correlation matrix is 3 x 3, sweep labelings have 36 nodes"]
+        assert not list(tmp_path.glob("rep*"))
+
+    @pytest.mark.parametrize("labels", [35, 0])
+    def test_validate_reference_length_names_both(self, labels, pipeline, capsys, tmp_path):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("0\n" * labels)
+        capsys.readouterr()
+        assert run("validate", "--sweep", str(pipeline[3]), "--reference", str(ref),
+                   "--output", str(tmp_path / "rep")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ref}: reference labeling has {labels} labels, sweep labelings have 36"]
+        assert not list(tmp_path.glob("rep*"))
+
     @pytest.mark.parametrize("sub, flag", [("validate", "--sweep"), ("fspc", "--corr")])
     def test_invalid_json_input_exit_1(self, sub, flag, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -701,6 +762,14 @@ class TestUsageErrors:
          "record 7: key 'g_edges': item 0 is [0, -1, 0.5], not an [i, j, G] triple"),
         (("records", 2, "T"), 0.07, "record 3: key 'T' is 0.07, not above record 2's 0.07"),
         (("records", 4, "T"), 0.02, "record 4: key 'T' is 0.02, not above record 3's 0.07"),
+        (("records", 1, "h_max"), 0, "record 1: key 'h_max' is 0, not positive"),
+        (("records", 5, "energy_samples"), [],
+         "record 5: key 'energy_samples' is [], not a non-empty list"),
+        (("records", 0, "energy_samples", 3), -0.5,
+         "record 0: key 'energy_samples': item 3 is -0.5, not in [0, h_max] = [0, {h_max!r}]"),
+        (("records", 6, "energy_samples", 0), 1e6,
+         "record 6: key 'energy_samples': item 0 is 1000000.0, not in [0, h_max] = "
+         "[0, {h_max!r}]"),
         (("kind",), "fspc_result", "not a sweep document"),
         (("records",), [], "phase_report needs at least 3 grid points"),
     ], ids=["not_object", "no_records", "records_not_list", "record_not_object",
@@ -708,11 +777,14 @@ class TestUsageErrors:
             "negative_label",
             "float_label", "label_past_count", "no_labels", "short_labels", "long_labels",
             "string_energy", "infinite_energy", "pair_edge", "negative_edge_node",
-            "repeated_t", "falling_t", "wrong_kind", "empty_records"])
+            "repeated_t", "falling_t", "zero_h_max", "no_energies", "negative_energy",
+            "energy_above_h_max", "wrong_kind", "empty_records"])
     def test_malformed_sweep_exit_1(self, path, value, expect, pipeline, capsys, tmp_path):
         _, _, _, sweep, _ = pipeline
+        doc = json.loads(sweep.read_text())
+        expect = expect.format(h_max=doc["records"][0]["h_max"])  # one graph: one h_max
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(edited(json.loads(sweep.read_text()), path, value)))
+        bad.write_text(json.dumps(edited(doc, path, value)))
         capsys.readouterr()
         assert run("validate", "--sweep", str(bad), "--output", str(tmp_path / "rep")) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {expect}"]
