@@ -646,16 +646,15 @@ class TestUsageErrors:
             f"error: {env}: row/col id lengths must match the value shape"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["fspc"], ["validate", "--sweep", None]],
-                             ids=["fspc", "validate"])
-    def test_non_square_envelope_names_the_file(self, argv, pipeline, capsys, tmp_path):
+    @pytest.mark.parametrize("sub", ["fspc", "validate"])
+    def test_non_square_envelope_names_the_file(self, sub, pipeline, capsys, tmp_path):
         env = tmp_path / "corr.json"
         env.write_text(json.dumps({"kind": "pearson", "row_ids": ["a", "b"],
                                    "col_ids": ["a", "b"],
                                    "values": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]]}))
-        argv = [str(pipeline[3]) if arg is None else arg for arg in argv]
+        sweep = ["--sweep", str(pipeline[3])] if sub == "validate" else []
         capsys.readouterr()
-        assert run(*argv, "--corr", str(env), "--output", str(tmp_path / "out")) == 1
+        assert run(sub, *sweep, "--corr", str(env), "--output", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {env}: correlation matrix must be square"]
         assert [p.name for p in tmp_path.iterdir()] == ["corr.json"]
