@@ -16,11 +16,11 @@ spawns one mutated child per generation, parents and children compete, and
 the run stops after a fixed number of generations without improvement.
 
 Draw order. The search draws by Lemire's rule from the seed's PCG64 stream
-of 32-bit words, in the order FORMATS.md gives ("Search result"), each child
-as the one-child ``mutate`` does: the draws of ``Generator.integers`` calls
-made one after another. ``_Words`` reads the stream ahead in bulk, and
-``_mutate_rows`` works out which words each child takes; numpy keeps the
-Generator's state.
+of 32-bit words, in the order FORMATS.md gives ("Search result"). numpy's
+``Generator.integers`` draws the first population and each generation's
+operators. The children draw as the one-child ``mutate`` does, one after
+another: ``_mutate_rows`` reads their words ahead, works out which ones each
+child takes, and gives the rest back to the Generator before it returns.
 """
 
 from __future__ import annotations
@@ -257,11 +257,10 @@ class _Words:
 
     Each 64-bit output gives its low half, then its high half; a half left
     buffered by an earlier draw comes first. ``read(count)`` makes at least
-    ``count`` words available from the cursor on in ``words``, read ahead
-    from the Generator in bulk. ``take(used)`` moves the cursor past
-    ``used`` words. ``close()`` gives back the words read but not taken:
+    ``count`` words available in ``words``, read ahead from the Generator in
+    bulk. ``close(used)`` gives back the words read past the first ``used``:
     it restores the Generator's state from the open and makes the one-word
-    draws of the words taken.
+    draws of those ``used`` words.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -270,7 +269,6 @@ class _Words:
                               f"got {type(rng.bit_generator).__name__}")
         self._rng = rng
         self._state = state = rng.bit_generator.state
-        self._taken = 0
         self.words = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
 
     def read(self, count: int) -> None:
@@ -280,40 +278,23 @@ class _Words:
             halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
             self.words = np.concatenate([self.words, halves]).astype(np.uint32, copy=False)
 
-    def take(self, used: int) -> None:
-        self._taken += used
-        self.words = self.words[used:]
-
-    def close(self) -> None:
+    def close(self, used: int) -> None:
         self._rng.bit_generator.state = self._state
-        self._rng.integers(0, 2**32, size=self._taken, dtype=np.uint64)
+        self._rng.integers(0, 2**32, size=used, dtype=np.uint64)
 
 
-def _integers(high: int, size: int, words: _Words) -> np.ndarray:
-    """``Generator.integers(0, high, size=size)`` for high < 2**32, from ``words``."""
-    if high == 1:
-        return np.zeros(size, dtype=np.int64)
-    count = size
-    while True:
-        words.read(count)
-        values, rejected = _lemire(words.words[:count], np.uint64(high))
-        kept = np.flatnonzero(~rejected)
-        if kept.size >= size:
-            break
-        count += size - kept.size
-    words.take(int(kept[size - 1]) + 1 if size else 0)
-    return values[kept[:size]].astype(np.int64)
-
-
-def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, words: _Words) -> np.ndarray:
+def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One mutation per row of a (P, N) array of sequential labelings.
 
-    Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows take their
-    draws from ``words`` in row order, the words one-row calls made one
-    after another would take. Children stay in their parent's
-    numbering, in [0, N), and are not resequentialized. split on an
-    all-singleton row and merge on a single-cluster row copy the parent.
+    Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows draw from
+    ``rng``, which must be PCG64, in row order: ``_Words`` reads their words
+    ahead, the kernel works out which ones each row takes, and closing the
+    cursor leaves ``rng`` as one-row calls made one after another would.
+    Children stay in their parent's numbering, in [0, N), and are not
+    resequentialized. split on an all-singleton row and merge on a
+    single-cluster row copy the parent.
     """
+    words = _Words(rng)
     p, n = pop.shape
     kinds = np.asarray(kinds)
     ks = pop.max(axis=1) + 1  # each row's cluster count
@@ -422,7 +403,7 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, words: _Words) -> np.ndarra
     rank = np.arange(hit.size) - (counts.cumsum() - counts)[hit]
     moved = words.words[tries[hit] + rank] >= 1 << 31
     out[rows[hit[moved]], col[moved]] = ks[rows[hit[moved]]]
-    words.take(used)
+    words.close(used)
     return out
 
 
@@ -432,17 +413,14 @@ def mutate(labeling, kind: str, rng: np.random.Generator) -> np.ndarray:
     split on an all-singleton labeling and merge on a single-cluster
     labeling are no-ops returning the input partition. ``rng`` must draw
     from PCG64, as ``np.random.default_rng`` does; it is left as the
-    operator's ``integers`` calls would leave it, by one-word draws of the
-    words the operator took.
+    operator's ``integers`` calls would leave it.
     """
     if kind not in MUTATION_KINDS:
         raise DomainError(f"unknown mutation kind {kind!r}")
     labels = sequentialize(labeling)
     if labels.size < 2:
         raise DomainError("a labeling to mutate needs at least 2 nodes")
-    words = _Words(rng)
-    child = _mutate_rows(labels[None], [MUTATION_KINDS.index(kind)], words)
-    words.close()
+    child = _mutate_rows(labels[None], [MUTATION_KINDS.index(kind)], rng)
     return sequentialize(child)[0]
 
 
@@ -472,8 +450,8 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
         raise DomainError(f"the search needs at least 2 nodes, got {n}")
 
     score = _SCORERS[objective]
-    words = _Words(np.random.default_rng(seed))  # never closed: the Generator is ours
-    pop = sequentialize(_integers(n, pop_size * n, words).reshape(pop_size, n))
+    rng = np.random.default_rng(seed)
+    pop = sequentialize(rng.integers(0, n, size=(pop_size, n)))
     fits = score(*_cluster_sums(pop, cvals))
 
     best = float(fits.max())
@@ -483,8 +461,8 @@ def ga_run(corr: CorrelationMatrix, pop_size: int = 100,
     last_improvement = 0
 
     for generation in range(1, max_generations + 1):
-        kinds = _integers(len(MUTATION_KINDS), pop_size, words)
-        children = sequentialize(_mutate_rows(pop, kinds, words))
+        kinds = rng.integers(0, len(MUTATION_KINDS), size=pop_size)
+        children = sequentialize(_mutate_rows(pop, kinds, rng))
         # a child equal to its parent keeps the parent's fitness: a labeling
         # scores the same bits in any batch
         same = (children == pop).all(axis=1)

@@ -18,7 +18,6 @@ from spinclust.fspc import (
     MUTATION_KINDS,
     _cluster_sums,
     _GATHER_DIVISOR,
-    _integers,
     _kmeans_from_sums,
     _lc_from_sums,
     _mutate_rows,
@@ -444,15 +443,6 @@ class TestMutate:
         assert h.hexdigest() == self.GOLDEN[kind]
 
 
-def on_words(kernel, *args):
-    """Call a word-reading kernel on a Generator, its last argument, and give back the rest."""
-    *args, rng = args
-    words = _Words(rng)
-    out = kernel(*args, words)
-    words.close()
-    return out
-
-
 def buffer_half_word(rng, word):
     """Leave ``word`` as the buffered half that the next 32-bit draw takes first."""
     state = rng.bit_generator.state
@@ -480,10 +470,10 @@ class TestMutateRows:
         if buffered:  # an odd number of words taken: the next one is a buffered half
             for g in (batch_rng, row_rng, ref_rng):
                 g.integers(0, 7)
-        batch = on_words(_mutate_rows, pop, kinds, batch_rng)
+        batch = _mutate_rows(pop, kinds, batch_rng)
         for i, (parent, kind) in enumerate(zip(pop, kinds)):
             np.testing.assert_array_equal(
-                batch[i], on_words(_mutate_rows, pop[i:i + 1], kinds[i:i + 1], row_rng)[0])
+                batch[i], _mutate_rows(pop[i:i + 1], kinds[i:i + 1], row_rng)[0])
             np.testing.assert_array_equal(
                 batch[i], mutate_reference(parent, MUTATION_KINDS[kind], ref_rng))
         assert batch_rng.bit_generator.state == row_rng.bit_generator.state
@@ -510,7 +500,7 @@ class TestMutateRows:
         if kind == "split":
             pop[0] = sequentialize([0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9])  # 3 eligible
         batch_rng, ref_rng = (buffer_half_word(np.random.default_rng(7), 0) for _ in range(2))
-        batch = on_words(_mutate_rows, pop, kinds, batch_rng)
+        batch = _mutate_rows(pop, kinds, batch_rng)
         for parent, child, k in zip(pop, batch, kinds):
             np.testing.assert_array_equal(
                 child, mutate_reference(parent, MUTATION_KINDS[k], ref_rng))
@@ -536,46 +526,24 @@ class TestMutateRows:
 
         monkeypatch.setattr(fspc, "_lemire", lemire_seen)
         batch_rng, ref_rng = np.random.default_rng(10224), np.random.default_rng(10224)
-        batch = on_words(_mutate_rows, pop, kinds, batch_rng)
+        batch = _mutate_rows(pop, kinds, batch_rng)
         assert sum(rejected) >= 1
         for parent, child, name in zip(pop, batch, names):
             np.testing.assert_array_equal(child, mutate_reference(parent, name, ref_rng))
         assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-OPS = st.lists(st.tuples(
-    st.one_of(st.integers(1, 2**32 - 1), st.sampled_from([1, 2, 3, 6, 2**31 + 1, 2**32 - 1])),
-    st.one_of(st.none(), st.integers(0, 40))), min_size=1, max_size=8)
-
-
 class TestWords:
-    @given(OPS, st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
-    @example([(2**31 + 1, 40), (6, None), (1, 3), (2**32 - 1, 5)], 0, 0)
-    @example([(4, 2), (6, None)], 0, 0)  # a power of two keeps a zero word
-    def test_integers_match_generator(self, ops, seed, half):
-        # scalar and sized integers calls, a buffered half word or none
-        expect, got = np.random.default_rng(seed), np.random.default_rng(seed)
-        if half is not None:
-            buffer_half_word(expect, half), buffer_half_word(got, half)
-        for high, size in ops:
-            if size is None:
-                assert on_words(_integers, high, 1, got).tolist() == [expect.integers(0, high)]
-            else:
-                values = on_words(_integers, high, size, got)
-                np.testing.assert_array_equal(values, expect.integers(0, high, size=size))
-                assert values.dtype == np.int64
-            assert got.bit_generator.state == expect.bit_generator.state
-
     @given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**32 - 1)),
-           st.lists(st.tuples(st.integers(0, 1200), st.integers(0, 1200)), max_size=4))
-    @example(0, 7, [(0, 1)])         # the buffered half alone
-    @example(0, 7, [(3, 2), (0, 5)])  # close after an odd count of output halves
-    def test_read_take_close(self, seed, half, steps):
+           st.lists(st.integers(0, 1200), max_size=4), st.integers(0, 2400))
+    @example(0, 7, [0], 1)     # the buffered half alone
+    @example(0, 7, [3, 0], 7)  # close after an odd count of output halves
+    def test_read_close(self, seed, half, counts, used):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         if half is not None:
             buffer_half_word(rng, half), buffer_half_word(ref, half)
         words = _Words(rng)
-        for count, used in steps:
+        for count in counts:
             words.read(count)
             assert words.words.size >= count
             # a full-range draw takes one word as it is
@@ -583,10 +551,9 @@ class TestWords:
             peek.bit_generator.state = ref.bit_generator.state
             np.testing.assert_array_equal(
                 words.words, peek.integers(0, 2**32, size=words.words.size, dtype=np.uint64))
-            used = min(used, words.words.size)
-            words.take(used)
-            ref.integers(0, 2**32, size=used, dtype=np.uint64)
-        words.close()
+        used = min(used, words.words.size)
+        words.close(used)
+        ref.integers(0, 2**32, size=used, dtype=np.uint64)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_other_bit_generators_rejected_before_any_draw(self):
