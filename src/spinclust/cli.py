@@ -162,20 +162,35 @@ def cmd_generate(args) -> int:
 def cmd_preprocess(args) -> int:
     """Stages in a fixed order: data transforms, --corr, --denoise, --pd.
 
-    A flag whose stage has nothing to act on is an error naming it.
+    A flag whose stage has nothing to act on is an error naming it, found
+    before any stage runs; an error a stage finds in the input names the file.
     """
     obj = _load_table(args.input, args.has_header)
+    is_corr = isinstance(obj, CorrelationMatrix)
     data_flags = [flag for flag, on in (("--transpose", args.transpose),
                                         ("--returns", args.returns), ("--scale", args.scale),
                                         ("--order-rows", args.order_rows),
                                         (f"--corr {args.corr}", args.corr != "none")) if on]
-    if isinstance(obj, CorrelationMatrix):
-        if data_flags:
-            raise DomainError(f"{', '.join(data_flags)}: needs a data matrix, but "
-                              f"{args.input} is a correlation envelope")
-        data, corr = None, obj
-    else:
-        data, corr = obj, None
+    if is_corr and data_flags:
+        raise DomainError(f"{', '.join(data_flags)}: needs a data matrix, but "
+                          f"{args.input} is a correlation envelope")
+    if args.rmt_upper_only and args.denoise != "rmt":
+        raise DomainError("--rmt-upper-only needs --denoise rmt")
+    imn_options = {key: value for key, value in (("max_iters", args.imn_iters),
+                                                 ("tol", args.imn_tol)) if value is not None}
+    if imn_options and args.denoise != "imn":
+        flag = "--imn-iters" if args.imn_iters is not None else "--imn-tol"
+        raise DomainError(f"{flag} needs --denoise imn")
+    if args.denoise == "rmt" and (is_corr or args.corr != "none"):
+        source = "a correlation envelope input" if is_corr else f"--corr {args.corr}"
+        raise DomainError(f"--denoise rmt builds its correlation from the data matrix; "
+                          f"it cannot follow {source}")
+    if args.pd and not is_corr and args.corr == args.denoise == "none":
+        raise DomainError("--pd repairs a correlation matrix: add --corr or --denoise, "
+                          "or pass a correlation envelope")
+
+    with prefixed(args.input):
+        data, corr = (None, obj) if is_corr else (obj, None)
         if args.transpose:
             data = data.transposed()
         if args.returns:
@@ -191,28 +206,12 @@ def cmd_preprocess(args) -> int:
             corr = pairwise_overlap_correlation(data)
         elif args.corr == "similarity":
             corr = similarity_from_distance(euclidean_distances(data), row_ids=data.row_ids)
-
-    if args.rmt_upper_only and args.denoise != "rmt":
-        raise DomainError("--rmt-upper-only needs --denoise rmt")
-    imn_options = {key: value for key, value in (("max_iters", args.imn_iters),
-                                                 ("tol", args.imn_tol)) if value is not None}
-    if imn_options and args.denoise != "imn":
-        flag = "--imn-iters" if args.imn_iters is not None else "--imn-tol"
-        raise DomainError(f"{flag} needs --denoise imn")
-    if args.denoise == "imn":
-        corr = imn_denoise(data if corr is None else corr, **imn_options)
-    elif args.denoise == "rmt":
-        if corr is not None:
-            source = f"--corr {args.corr}" if data is not None else "a correlation envelope input"
-            raise DomainError(f"--denoise rmt builds its correlation from the data matrix; "
-                              f"it cannot follow {source}")
-        corr = rmt_denoise(data, upper_only=args.rmt_upper_only)
-
-    if args.pd:
-        if corr is None:
-            raise DomainError("--pd repairs a correlation matrix: add --corr or --denoise, "
-                              "or pass a correlation envelope")
-        corr = make_positive_definite(corr)
+        if args.denoise == "imn":
+            corr = imn_denoise(data if corr is None else corr, **imn_options)
+        elif args.denoise == "rmt":
+            corr = rmt_denoise(data, upper_only=args.rmt_upper_only)
+        if args.pd:
+            corr = make_positive_definite(corr)
     if corr is None:
         save_envelope(data, args.output)
         print(f"wrote data envelope {args.output}")
@@ -223,11 +222,14 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_spc(args) -> int:
-    obj = _load_table(args.input, args.has_header)
-    dist = _distances_from_input(obj)
-    graph = mutual_knn_graph(dist, k=args.k)
-    strengths = strength_matrix(graph)
     grid = parse_trange(args.t)
+    obj = _load_table(args.input, args.has_header)
+    n = obj.values.shape[0]
+    if not 1 <= args.k < n:
+        raise DomainError(f"--k {args.k}: needs 1 <= k < N, and {args.input} has N = {n} rows")
+    with prefixed(args.input):
+        graph = mutual_knn_graph(_distances_from_input(obj), k=args.k)
+        strengths = strength_matrix(graph)
     sweep = temperature_sweep(strengths, grid, m_steps=args.steps,
                               burn_in=args.burn_in, q=args.q, theta=args.theta,
                               seed=args.seed, workers=args.threads)
@@ -240,9 +242,11 @@ def cmd_spc(args) -> int:
 
 
 def cmd_fspc(args) -> int:
-    res = ga_run(_load_correlation(args.corr), pop_size=args.pop,
-                 max_generations=args.gens, stall_generations=args.stall,
-                 seed=args.seed, objective=args.objective)
+    corr = _load_correlation(args.corr)
+    if corr.n < 2:
+        raise DomainError(f"{args.corr}: the search needs at least 2 nodes, got {corr.n}")
+    res = ga_run(corr, pop_size=args.pop, max_generations=args.gens,
+                 stall_generations=args.stall, seed=args.seed, objective=args.objective)
     write_json(res.to_dict(), args.output)
     print(f"wrote result (fitness {res.fitness:.6g}, "
           f"{res.generations_run} generations) to {args.output}")
@@ -288,7 +292,8 @@ def cmd_validate(args) -> int:
 
 def cmd_mst(args) -> int:
     obj = _load_table(args.input, args.has_header)
-    mst = minimum_spanning_tree(_distances_from_input(obj))
+    with prefixed(args.input):
+        mst = minimum_spanning_tree(_distances_from_input(obj))
     write_json(mst.to_dict(), args.output)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

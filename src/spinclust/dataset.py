@@ -511,10 +511,10 @@ def make_positive_definite(corr: CorrelationMatrix, eps: float = _PD_EPS) -> Cor
     rounding is a DomainError.
     """
     a = np.asarray(corr.values, dtype=float)
-    if not np.allclose(a, a.T, atol=_SYMMETRY_ATOL):
+    if not np.allclose(a, a.T, rtol=0, atol=_SYMMETRY_ATOL):
         raise DomainError("make_positive_definite requires a symmetric matrix")
     a = 0.5 * (a + a.T)
-    if np.linalg.eigvalsh(a)[0] < eps or np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
+    if np.linalg.eigvalsh(a)[0] < eps or np.max(np.abs(np.diag(a) - 1.0)) > _UNIT_TOL:
         w, v = np.linalg.eigh(a)
         a = (v * np.maximum(w, 2.0 * eps * max(1.0, w[-1]))) @ v.T
         a = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))

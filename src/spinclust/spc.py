@@ -120,7 +120,7 @@ def stats_from_record(rec: dict) -> TemperatureStats:
 
     A record that is not an object, lacks a key read here or holds a value of
     the wrong JSON type is a ParseError naming the key. Numbers are finite,
-    ``h_max`` is positive, ``energy_samples`` is non-empty and in [0, h_max],
+    ``T`` and ``h_max`` are positive, ``energy_samples`` is non-empty and in [0, h_max],
     labels are JSON integers in [0, N), N the label count, and ``g_edges``,
     when present, holds ``[i, j, G]`` triples of two node indices and a number.
     """
@@ -128,9 +128,10 @@ def stats_from_record(rec: dict) -> TemperatureStats:
         raise ParseError("record is not a JSON object")
     scalars = {key: float(_record_value(rec, key, _is_number, "a finite number"))
                for key in ("T", "mean_m", "chi", "mean_H", "h_max")}
+    for key in ("T", "h_max"):
+        if scalars[key] <= 0:
+            raise ParseError(f"key {key!r} is {rec[key]!r}, not positive")
     h_max = scalars["h_max"]
-    if h_max <= 0:
-        raise ParseError(f"key 'h_max' is {rec['h_max']!r}, not positive")
     counts = {key: _record_value(rec, key, lambda v: type(v) is int, "an integer")
               for key in ("n_samples", "q")}
     n = len(_record_value(rec, "labels", lambda v: isinstance(v, list) and v, "a non-empty list"))

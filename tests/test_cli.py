@@ -707,8 +707,52 @@ class TestUsageErrors:
         assert run("fspc", "--corr", str(env), "--pop", "4", "--gens", "5",
                    "--output", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == ["error: the search needs at least 2 nodes, got 1"]
+        assert err.splitlines() == [f"error: {env}: the search needs at least 2 nodes, got 1"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["10", "0"])
+    def test_spc_k_out_of_range_names_flag_and_file(self, k, capsys, tmp_path):
+        data = tmp_path / "two.csv"
+        data.write_text("x,y\n0,1\n1,0\n2,2\n")
+        capsys.readouterr()
+        assert run("spc", "--input", str(data), "--k", k,
+                   "--output", str(tmp_path / "s.json")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --k {k}: needs 1 <= k < N, and {data} has N = 3 rows"]
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("argv, text, expect", [
+        (["preprocess", "--corr", "pearson"], "x,y\n1,2\n3,4\n5,7\n",
+         "rows (0, 1) share only 2 columns, need >= 3"),
+        (["preprocess", "--returns"], "a,b,c\n1,2,3\n4,-3,5\n",
+         "nonpositive price -3.0 at row 1, column 1"),
+        (["spc", "--k", "2"], "x,y\n1,2\n3,\n5,7\n", "euclidean_distances requires fully observed data"),
+        (["mst"], "x,y\n1,2\n3,\n5,7\n", "euclidean_distances requires fully observed data"),
+    ], ids=["overlap", "price", "spc_blank", "mst_blank"])
+    def test_content_errors_after_the_load_name_the_file(self, argv, text, expect, capsys,
+                                                          tmp_path):
+        data = tmp_path / "in.csv"
+        data.write_text(text)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run(*argv, "--input", str(data), "--output", str(out)) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {data}: {expect}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["preprocess", "--input", "{csv}", "--scale", "--pd"], "--pd repairs"),
+        (["fspc", "--corr", "{env}", "--pop", "1"], "pop_size must be >= 2"),
+    ], ids=["pd", "pop"])
+    def test_flag_errors_name_no_file(self, argv, expect, capsys, tmp_path):
+        csv, env = tmp_path / "d.csv", tmp_path / "corr.json"
+        csv.write_text("x,y\n1,2\n3,4\n5,7\n")
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": list("ab"),
+                                   "col_ids": list("ab"), "values": np.eye(2).tolist()}))
+        capsys.readouterr()
+        argv = [a.format(csv=csv, env=env) for a in argv]
+        assert run(*argv, "--output", str(tmp_path / "out.json")) == 1
+        assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {expect}")
 
     @pytest.mark.parametrize("stall", ["0", "-5"])
     def test_stall_below_one_exit_1(self, stall, capsys, tmp_path):
@@ -762,6 +806,8 @@ class TestUsageErrors:
         (("records", 2, "T"), 0.07, "record 3: key 'T' is 0.07, not above record 2's 0.07"),
         (("records", 4, "T"), 0.02, "record 4: key 'T' is 0.02, not above record 3's 0.07"),
         (("records", 1, "h_max"), 0, "record 1: key 'h_max' is 0, not positive"),
+        (("records", 0, "T"), 0.0, "record 0: key 'T' is 0.0, not positive"),
+        (("records", 0, "T"), -1, "record 0: key 'T' is -1, not positive"),
         (("records", 5, "energy_samples"), [],
          "record 5: key 'energy_samples' is [], not a non-empty list"),
         (("records", 0, "energy_samples", 3), -0.5,
@@ -776,8 +822,8 @@ class TestUsageErrors:
             "negative_label",
             "float_label", "label_past_count", "no_labels", "short_labels", "long_labels",
             "string_energy", "infinite_energy", "pair_edge", "negative_edge_node",
-            "repeated_t", "falling_t", "zero_h_max", "no_energies", "negative_energy",
-            "energy_above_h_max", "wrong_kind", "empty_records"])
+            "repeated_t", "falling_t", "zero_h_max", "zero_t", "negative_t", "no_energies",
+            "negative_energy", "energy_above_h_max", "wrong_kind", "empty_records"])
     def test_malformed_sweep_exit_1(self, path, value, expect, pipeline, capsys, tmp_path):
         _, _, _, sweep, _ = pipeline
         doc = json.loads(sweep.read_text())

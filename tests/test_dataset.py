@@ -273,6 +273,12 @@ class TestMakePositiveDefinite:
         again = make_positive_definite(out)
         assert np.array_equal(again.values, out.values)
 
+    def test_relative_asymmetry_rejected(self):
+        # 2e-6 apart: inside numpy's default rtol, outside the absolute 1e-12
+        a = np.array([[1.0, 0.5], [0.500002, 1.0]])
+        with pytest.raises(DomainError, match="requires a symmetric matrix"):
+            make_positive_definite(CorrelationMatrix(a, "pearson"))
+
     def test_unreachable_eps_raises(self):
         # a unit diagonal makes the trace N, so no eigenvalue floor above 1 holds
         a = np.array([[1.0, 0.9], [0.9, 1.0]])
