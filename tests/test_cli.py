@@ -726,7 +726,8 @@ class TestUsageErrors:
          "rows (0, 1) share only 2 columns, need >= 3"),
         (["preprocess", "--returns"], "a,b,c\n1,2,3\n4,-3,5\n",
          "nonpositive price -3.0 at row 1, column 1"),
-        (["spc", "--k", "2"], "x,y\n1,2\n3,\n5,7\n", "euclidean_distances requires fully observed data"),
+        (["spc", "--k", "2"], "x,y\n1,2\n3,\n5,7\n",
+         "euclidean_distances requires fully observed data"),
         (["mst"], "x,y\n1,2\n3,\n5,7\n", "euclidean_distances requires fully observed data"),
     ], ids=["overlap", "price", "spc_blank", "mst_blank"])
     def test_content_errors_after_the_load_name_the_file(self, argv, text, expect, capsys,
@@ -752,7 +753,8 @@ class TestUsageErrors:
         capsys.readouterr()
         argv = [a.format(csv=csv, env=env) for a in argv]
         assert run(*argv, "--output", str(tmp_path / "out.json")) == 1
-        assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {expect}")
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {expect}")
 
     @pytest.mark.parametrize("stall", ["0", "-5"])
     def test_stall_below_one_exit_1(self, stall, capsys, tmp_path):
