@@ -33,7 +33,7 @@ from .dataset import (
     save_envelope,
     write_json,
 )
-from .errors import DomainError, ParseError, SpinclustError, prefixed
+from .errors import DegenerateClusterError, DomainError, ParseError, SpinclustError, prefixed
 from .evaluation import generate_blobs, generate_circles, minimum_spanning_tree
 from .fspc import ga_run
 from .preprocess import imn_denoise, min_max_scale, rmt_denoise
@@ -245,8 +245,11 @@ def cmd_fspc(args) -> int:
     corr = _load_correlation(args.corr)
     if corr.n < 2:
         raise DomainError(f"{args.corr}: the search needs at least 2 nodes, got {corr.n}")
-    res = ga_run(corr, pop_size=args.pop, max_generations=args.gens,
-                 stall_generations=args.stall, seed=args.seed, objective=args.objective)
+    try:
+        res = ga_run(corr, pop_size=args.pop, max_generations=args.gens,
+                     stall_generations=args.stall, seed=args.seed, objective=args.objective)
+    except DegenerateClusterError as exc:  # the matrix's fault; a bad flag names no file
+        raise DegenerateClusterError(f"{args.corr}: {exc}") from None
     write_json(res.to_dict(), args.output)
     print(f"wrote result (fitness {res.fitness:.6g}, "
           f"{res.generations_run} generations) to {args.output}")

@@ -16,13 +16,16 @@ def adjusted_rand_index(a, b) -> float:
 
     Computed from the contingency table with exact integer pair counts;
     1.0 for identical partitions, ~0 for independent ones. Returns 1.0 for
-    the degenerate case where both partitions are trivial and identical.
+    the degenerate case where both partitions are trivial and identical,
+    which labelings of at most one item always are.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"labelings must be equal-length vectors, got {a.shape} vs {b.shape}")
     n = a.size
+    if n <= 1:
+        return 1.0
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     ka, kb = int(ai.max()) + 1, int(bi.max()) + 1

@@ -15,12 +15,12 @@ The maximizer is an elitist mutation-only genetic algorithm: every parent
 spawns one mutated child per generation, parents and children compete, and
 the run stops after a fixed number of generations without improvement.
 
-Draw order. The search draws by Lemire's rule from the seed's PCG64 stream
-of 32-bit words, in the order FORMATS.md gives ("Search result"). numpy's
-``Generator.integers`` draws the first population and each generation's
-operators. The children draw as the one-child ``mutate`` does, one after
-another: ``_mutate_rows`` reads their words ahead, works out which ones each
-child takes, and gives the rest back to the Generator before it returns.
+Draw order. Every draw is a ``Generator.integers`` draw, Lemire's rule on the
+Generator's stream of 32-bit words, in the order FORMATS.md gives ("Search
+result"). The first population and each generation's operators are drawn
+directly. The children draw as the one-child ``mutate`` does, one after
+another: ``_mutate_rows`` reads their words ahead as full-range draws, works
+out which ones each child takes, and gives the rest back before it returns.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ MUTATION_KINDS = ("new", "split", "merge", "swap", "scramble", "flip")
 _NEW, _SPLIT, _MERGE, _SWAP, _SCRAMBLE, _FLIP = range(len(MUTATION_KINDS))
 
 _UPPER_MARGIN = 1e-9
-_WORD = 0xFFFFFFFF  # the low 32 bits
-_READ = 256  # the fewest 64-bit outputs _Words reads at a time
+_WORD = 0xFFFFFFFF  # the low 32 bits, and the largest word
+_READ = 512  # the fewest words _mutate_rows reads ahead at a time
 
 # _cluster_sums gathers the pairs of the clusters of up to N // _GATHER_DIVISOR
 # members and takes one product for the larger ones; on the grid of _on_grid
@@ -252,49 +252,28 @@ def _lemire(words, r):
     return m >> 32, (m & _WORD) < (1 << 32) % r
 
 
-class _Words:
-    """A cursor over the 32-bit words that a PCG64 Generator's draws take.
-
-    Each 64-bit output gives its low half, then its high half; a half left
-    buffered by an earlier draw comes first. ``read(count)`` makes at least
-    ``count`` words available in ``words``, read ahead from the Generator in
-    bulk. ``close(used)`` gives back the words read past the first ``used``:
-    it restores the Generator's state from the open and makes the one-word
-    draws of those ``used`` words.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise DomainError("the GA draws from a PCG64 generator, "
-                              f"got {type(rng.bit_generator).__name__}")
-        self._rng = rng
-        self._state = state = rng.bit_generator.state
-        self.words = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
-
-    def read(self, count: int) -> None:
-        short = count - self.words.size
-        if short > 0:
-            raw = self._rng.bit_generator.random_raw(max((short + 1) // 2, _READ))
-            halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
-            self.words = np.concatenate([self.words, halves]).astype(np.uint32, copy=False)
-
-    def close(self, used: int) -> None:
-        self._rng.bit_generator.state = self._state
-        self._rng.integers(0, 2**32, size=used, dtype=np.uint64)
-
-
 def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One mutation per row of a (P, N) array of sequential labelings.
 
     Row i gets operator ``MUTATION_KINDS[kinds[i]]``. The rows draw from
-    ``rng``, which must be PCG64, in row order: ``_Words`` reads their words
-    ahead, the kernel works out which ones each row takes, and closing the
-    cursor leaves ``rng`` as one-row calls made one after another would.
+    ``rng`` in row order: ``read`` takes their words ahead as full-range
+    draws, the kernel works out which ones each row takes, and drawing the
+    used words again from the saved state leaves ``rng`` as one-row calls
+    made one after another would.
     Children stay in their parent's numbering, in [0, N), and are not
     resequentialized. split on an all-singleton row and merge on a
     single-cluster row copy the parent.
     """
-    words = _Words(rng)
+    state = rng.bit_generator.state
+    words = np.empty(0, dtype=np.uint32)
+
+    def read(count: int) -> None:  # at least count words in words
+        nonlocal words
+        if count > words.size:
+            more = rng.integers(0, _WORD, size=max(count - words.size, _READ), dtype=np.uint32,
+                                endpoint=True)
+            words = np.concatenate([words, more])
+
     p, n = pop.shape
     kinds = np.asarray(kinds)
     ks = pop.max(axis=1) + 1  # each row's cluster count
@@ -331,7 +310,7 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
     offsets = list(accumulate(eligible, initial=0))
     member_counts = sizes[owner, cluster].tolist()
 
-    words.read(int(takes.sum()) + 2 * int(sizes.max(axis=1, initial=0).sum()) + split.size + 1)
+    read(int(takes.sum()) + 2 * int(sizes.max(axis=1, initial=0).sum()) + split.size + 1)
     extra = np.zeros(row.size, dtype=np.int64)  # rejected words before each draw
     while True:
         edges = np.zeros(row.size + 1, dtype=np.int64)
@@ -348,26 +327,26 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
             at += shift
             pick = 0
             while c > 1:
-                words.read(at + 1)
-                pick, rejected = _lemire(int(words.words[at]), c)
+                read(at + 1)
+                pick, rejected = _lemire(int(words[at]), c)
                 at += 1
                 if not rejected:
                     break
             picks[j] = offsets[j] + pick
             size = member_counts[picks[j]]
-            words.read(at + size)
-            while np.count_nonzero(words.words[at:at + size] >> 31) in (0, size):
+            read(at + size)
+            while np.count_nonzero(words[at:at + size] >> 31) in (0, size):
                 at += size
-                words.read(at + size)
+                read(at + size)
             tries[j] = at
             blocks[j] = at + size - before[j] - shift
             shift += blocks[j]
 
         used = int(edges[-1]) + shift
-        words.read(used + 1)  # a last draw of range 1 points one word past them
+        read(used + 1)  # a last draw of range 1 points one word past them
         after = np.zeros(p, dtype=np.int64)
         after[split] = blocks
-        word = words.words[edges[:-1] + extra + after.cumsum()[row]]
+        word = words[edges[:-1] + extra + after.cumsum()[row]]
         ranges[scramble + 1] = n - 1 - _lemire(word[scramble], ranges[scramble])[0]
         values, rejected = _lemire(word, ranges)
         if not rejected.any():
@@ -401,9 +380,10 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
     hit, col = (pop[rows] == cluster[picks[picks >= 0], None]).nonzero()  # in node order
     counts = np.bincount(hit, minlength=rows.size)
     rank = np.arange(hit.size) - (counts.cumsum() - counts)[hit]
-    moved = words.words[tries[hit] + rank] >= 1 << 31
+    moved = words[tries[hit] + rank] >= 1 << 31
     out[rows[hit[moved]], col[moved]] = ks[rows[hit[moved]]]
-    words.close(used)
+    rng.bit_generator.state = state  # give back the words read past the used ones
+    rng.integers(0, _WORD, size=used, dtype=np.uint32, endpoint=True)
     return out
 
 
@@ -411,9 +391,8 @@ def mutate(labeling, kind: str, rng: np.random.Generator) -> np.ndarray:
     """Apply one mutation operator and resequentialize.
 
     split on an all-singleton labeling and merge on a single-cluster
-    labeling are no-ops returning the input partition. ``rng`` must draw
-    from PCG64, as ``np.random.default_rng`` does; it is left as the
-    operator's ``integers`` calls would leave it.
+    labeling are no-ops returning the input partition. ``rng`` is any numpy
+    Generator; it is left as the operator's ``integers`` calls would leave it.
     """
     if kind not in MUTATION_KINDS:
         raise DomainError(f"unknown mutation kind {kind!r}")

@@ -254,6 +254,12 @@ def magnetization(values: np.ndarray, q: int):
     n = values.shape[-1]
     rows = values.reshape(-1, n)
     width = int(rows.max()) + 1
+    if width > n + 1:  # a large q: count each row's own values, N per row at most
+        ordered = np.sort(rows, axis=1)
+        new = np.ones(ordered.shape, dtype=bool)
+        new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        rows = new.cumsum(axis=1) - 1  # each value as its rank among the row's values
+        width = n
     shift = (width * np.arange(rows.shape[0]))[:, None]
     counts = np.bincount((rows + shift).ravel(), minlength=rows.shape[0] * width)
     n_max = counts.reshape(-1, width).max(axis=1)

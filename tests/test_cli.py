@@ -312,6 +312,20 @@ class TestSpcFspcValidateMst:
         aris = [row["ari"] for row in doc["ari_curve"]]
         assert max(aris) > 0.9
 
+    def test_validate_one_node_sweep(self, pipeline, tmp_path):
+        # labelings of one item agree trivially: ARI 1.0, not a division by zero
+        doc = json.loads(pipeline[3].read_text())
+        doc["records"] = [{**record, "labels": [0]} for record in doc["records"][:3]]
+        sweep, corr, ref = tmp_path / "one.json", tmp_path / "c.json", tmp_path / "ref.csv"
+        sweep.write_text(json.dumps(doc))
+        corr.write_text(json.dumps({"kind": "pearson", "row_ids": ["a"], "col_ids": ["a"],
+                                    "values": [[1.0]]}))
+        ref.write_text("7\n")
+        assert run("validate", "--sweep", str(sweep), "--corr", str(corr), "--reference",
+                   str(ref), "--output", str(tmp_path / "rep")) == 0
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert [row["ari"] for row in report["ari_curve"]] == [1.0] * 3
+
     def test_mst_outputs(self, pipeline):
         root, data, _, _, _ = pipeline
         out = root / "mst.json"
@@ -755,6 +769,17 @@ class TestUsageErrors:
         assert run(*argv, "--output", str(tmp_path / "out.json")) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {expect}")
+
+    def test_degenerate_kmeans_cluster_names_file(self, capsys, tmp_path):
+        env = tmp_path / "c.json"
+        env.write_text(json.dumps({"kind": "pearson", "row_ids": list("abc"),
+                                   "col_ids": list("abc"),
+                                   "values": [[1, -1, 0], [-1, 1, 0], [0, 0, 1]]}))
+        capsys.readouterr()
+        assert run("fspc", "--corr", str(env), "--objective", "kmeans",
+                   "--output", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {env}: cluster 0 has zero intra-cluster sum"]
 
     @pytest.mark.parametrize("stall", ["0", "-5"])
     def test_stall_below_one_exit_1(self, stall, capsys, tmp_path):

@@ -88,6 +88,10 @@ class TestAdjustedRandIndex:
             vals.append(adjusted_rand_index(ref, ref[perm]))
         assert abs(float(np.mean(vals))) < 0.02
 
+    @pytest.mark.parametrize("a, b", [([3], [7]), ([], [])], ids=["one_item", "empty"])
+    def test_at_most_one_item_scores_one(self, a, b):
+        assert adjusted_rand_index(a, b) == 1.0
+
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             adjusted_rand_index([0, 1], [0, 1, 2])

@@ -22,7 +22,6 @@ from spinclust.fspc import (
     _lc_from_sums,
     _mutate_rows,
     _on_grid,
-    _Words,
     cluster_stats,
     ga_run,
     kmeans_hamiltonian,
@@ -119,6 +118,8 @@ def mutate_reference(labels, kind, rng):
 
 
 LABELING_SHAPES = ("random", "few", "singletons", "giant", "edge")
+# the kernel draws through Generator.integers, so it runs on any bit generator
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 
 def make_labeling(rng, n, shape):
@@ -415,6 +416,14 @@ class TestMutate:
             mutate(np.array(labels, dtype=int), kind, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_any_bit_generator(self, bit_generator):
+        rng, ref = (np.random.Generator(bit_generator(0)) for _ in range(2))
+        out = mutate(np.array([0, 0, 1]), "swap", rng)
+        expected = sequentialize(mutate_reference(np.array([0, 0, 1]), "swap", ref))
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
     # SHA-256 of 60 seeded mutate outputs per kind, recorded from the
     # per-child implementation that relabeled with np.unique
     GOLDEN = {
@@ -456,18 +465,22 @@ class TestMutateRows:
            st.lists(st.sampled_from(("random", "few", "singletons", "giant")), min_size=6,
                     max_size=6),
            st.lists(st.integers(0, len(MUTATION_KINDS) - 1), min_size=6, max_size=6),
-           st.integers(0, 2**32 - 1), st.booleans())
-    @example(1, 2, ["singletons"] * 6, [1] * 6, 0, False)  # split on all singletons: a copy
-    @example(1, 2, ["giant"] * 6, [2] * 6, 0, False)       # merge on one cluster: a copy
-    @example(6, 2, ["random"] * 6, list(range(6)), 1, False)
+           st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(BIT_GENERATORS))
+    @example(1, 2, ["singletons"] * 6, [1] * 6, 0, False, np.random.PCG64)  # split: a copy
+    @example(1, 2, ["giant"] * 6, [2] * 6, 0, False, np.random.PCG64)       # merge: a copy
+    @example(6, 2, ["random"] * 6, list(range(6)), 1, False, np.random.PCG64)
     @example(6, 300, ["random", "few", "singletons", "giant", "few", "random"],
-             list(range(6)), 2, True)
-    def test_batch_equals_rows_and_reference(self, p, n, shapes, kinds, seed, buffered):
+             list(range(6)), 2, True, np.random.PCG64)
+    @example(6, 300, ["random", "few", "singletons", "giant", "few", "random"],
+             list(range(6)), 3, True, np.random.MT19937)
+    def test_batch_equals_rows_and_reference(self, p, n, shapes, kinds, seed, buffered,
+                                             bit_generator):
         rng = np.random.default_rng(seed)
         pop = np.stack([make_labeling(rng, n, shapes[i]) for i in range(p)])
         kinds = np.array(kinds[:p])
-        batch_rng, row_rng, ref_rng = (np.random.default_rng(seed + 1) for _ in range(3))
-        if buffered:  # an odd number of words taken: the next one is a buffered half
+        batch_rng, row_rng, ref_rng = (np.random.Generator(bit_generator(seed + 1))
+                                       for _ in range(3))
+        if buffered:  # an odd number of words taken: the next one may be a buffered half
             for g in (batch_rng, row_rng, ref_rng):
                 g.integers(0, 7)
         batch = _mutate_rows(pop, kinds, batch_rng)
@@ -476,8 +489,9 @@ class TestMutateRows:
                 batch[i], _mutate_rows(pop[i:i + 1], kinds[i:i + 1], row_rng)[0])
             np.testing.assert_array_equal(
                 batch[i], mutate_reference(parent, MUTATION_KINDS[kind], ref_rng))
-        assert batch_rng.bit_generator.state == row_rng.bit_generator.state
-        assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
+        # MT19937's state holds an array
+        np.testing.assert_equal(batch_rng.bit_generator.state, row_rng.bit_generator.state)
+        np.testing.assert_equal(batch_rng.bit_generator.state, ref_rng.bit_generator.state)
         assert batch.dtype == np.int64 and ((batch >= 0) & (batch < n)).all()
 
     @pytest.mark.parametrize("kind", MUTATION_KINDS)
@@ -531,37 +545,6 @@ class TestMutateRows:
         for parent, child, name in zip(pop, batch, names):
             np.testing.assert_array_equal(child, mutate_reference(parent, name, ref_rng))
         assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-class TestWords:
-    @given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**32 - 1)),
-           st.lists(st.integers(0, 1200), max_size=4), st.integers(0, 2400))
-    @example(0, 7, [0], 1)     # the buffered half alone
-    @example(0, 7, [3, 0], 7)  # close after an odd count of output halves
-    def test_read_close(self, seed, half, counts, used):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        if half is not None:
-            buffer_half_word(rng, half), buffer_half_word(ref, half)
-        words = _Words(rng)
-        for count in counts:
-            words.read(count)
-            assert words.words.size >= count
-            # a full-range draw takes one word as it is
-            peek = np.random.default_rng()
-            peek.bit_generator.state = ref.bit_generator.state
-            np.testing.assert_array_equal(
-                words.words, peek.integers(0, 2**32, size=words.words.size, dtype=np.uint64))
-        used = min(used, words.words.size)
-        words.close(used)
-        ref.integers(0, 2**32, size=used, dtype=np.uint64)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_other_bit_generators_rejected_before_any_draw(self):
-        rng = np.random.Generator(np.random.MT19937(0))
-        state = rng.bit_generator.state
-        with pytest.raises(DomainError, match="PCG64 generator, got MT19937"):
-            mutate(np.array([0, 0, 1]), "swap", rng)
-        np.testing.assert_equal(rng.bit_generator.state, state)
 
 
 class TestGaStream:

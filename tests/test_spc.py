@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -305,6 +306,24 @@ class TestMagnetization:
         np.testing.assert_array_equal(m, [magnetization(row, q=20) for row in spins])
         with pytest.raises(DomainError, match="q must"):
             magnetization(spins, q=1)
+
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=30), st.integers(1, 4))
+    def test_large_values_counted_as_ranks(self, values, copies):
+        # values past N count as their ranks do: the same populations
+        rows = np.array([values] * copies)
+        ranks = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
+        np.testing.assert_array_equal(magnetization(rows, q=20), magnetization(ranks, q=20))
+
+    def test_memory_grows_with_n_not_q(self):
+        spins = np.array([[1, 10**7, 10**7, 3]])
+        tracemalloc.start()
+        try:
+            m = magnetization(spins, q=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == pytest.approx((2 * 10**7 - 4) / ((10**7 - 1) * 4), rel=1e-15)
+        assert peak < 1 << 20
 
 
 class TestHamiltonian:
