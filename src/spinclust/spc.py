@@ -246,23 +246,19 @@ def magnetization(values: np.ndarray, q: int):
     """Dominance of the most frequent value along the last axis of a 1-D or R x N array.
 
     (q * N_max - N) / ((q - 1) * N), with N_max the largest value population;
-    ``values`` are nonnegative integers (spins or cluster labels).
+    ``values`` are integers (spins or cluster labels).
     """
     if q < 2:
         raise DomainError("q must be >= 2")
     values = np.asarray(values)
     n = values.shape[-1]
-    rows = values.reshape(-1, n)
-    width = int(rows.max()) + 1
-    if width > n + 1:  # a large q: count each row's own values, N per row at most
-        ordered = np.sort(rows, axis=1)
-        new = np.ones(ordered.shape, dtype=bool)
-        new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        rows = new.cumsum(axis=1) - 1  # each value as its rank among the row's values
-        width = n
-    shift = (width * np.arange(rows.shape[0]))[:, None]
-    counts = np.bincount((rows + shift).ravel(), minlength=rows.shape[0] * width)
-    n_max = counts.reshape(-1, width).max(axis=1)
+    ordered = np.sort(values.reshape(-1, n), axis=1)
+    new = np.ones(ordered.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # runs of equal sorted values, rows in turn: N per row at most, whatever q is
+    starts = np.flatnonzero(new)
+    runs = np.diff(starts, append=ordered.size)
+    n_max = np.maximum.reduceat(runs, np.searchsorted(starts, np.arange(0, ordered.size, n)))
     return ((q * n_max - n) / ((q - 1.0) * n)).reshape(values.shape[:-1])[()]
 
 

@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinclust import fspc
@@ -461,6 +461,9 @@ def buffer_half_word(rng, word):
 
 
 class TestMutateRows:
+    # four bit generators share the examples: four times the default keeps
+    # PCG64's share at the default count
+    @settings(max_examples=400)
     @given(st.integers(1, 6), st.integers(2, 300),
            st.lists(st.sampled_from(("random", "few", "singletons", "giant")), min_size=6,
                     max_size=6),

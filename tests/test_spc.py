@@ -309,7 +309,7 @@ class TestMagnetization:
 
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=30), st.integers(1, 4))
     def test_large_values_counted_as_ranks(self, values, copies):
-        # values past N count as their ranks do: the same populations
+        # values past N count as their ranks do: only the populations matter
         rows = np.array([values] * copies)
         ranks = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
         np.testing.assert_array_equal(magnetization(rows, q=20), magnetization(ranks, q=20))
