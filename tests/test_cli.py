@@ -974,6 +974,28 @@ class TestStartup:
         assert Path(where).resolve().parents[1] == Path(src)
         assert loaded == "[]"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
+    def test_large_arrays_are_unmapped_when_freed(self):
+        """After main, a freed 32 MB array leaves resident memory where it was.
+
+        Under glibc's default, the first such array freed raises the mmap
+        threshold, and the second stays resident in the heap once freed.
+        """
+        src = str(Path(spinclust.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "import resource, numpy as np, spinclust.cli\n"
+                "def rss():\n"
+                "    with open('/proc/self/statm') as fh:\n"
+                "        return int(fh.read().split()[1]) * resource.getpagesize()\n"
+                "spinclust.cli.main(['--version'])\n"
+                "before = rss(); grown = []\n"
+                "for _ in range(3):\n"
+                "    a = np.ones(4_000_000); del a; grown.append(rss() - before)\n"
+                "print(max(grown))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert int(proc.stdout.split()[-1]) < 4 << 20
+
     def test_import_and_spc_run_load_no_scipy(self, tmp_path):
         """numpy is the only runtime dependency; scipy is a test-only oracle.
 
