@@ -129,13 +129,15 @@ def write_json(doc: dict, path) -> None:
     ``tolist()``. It is encoded by ``json.dumps`` (the C encoder) one
     top-level value, or one item of a top-level list, at a time, and an
     array one row at a time (see ``_square_rows``), so memory holds one
-    item's text. A file that any error cut short is removed, so no invalid
-    JSON is left behind; json's ValueError becomes the DomainError, and any
-    other error is re-raised.
+    item's text. The text goes to a temporary file beside ``path``, moved
+    into place once complete, so an error leaves no invalid JSON and keeps
+    any earlier file at ``path``; the temporary file is removed. json's
+    ValueError becomes the DomainError, an OSError on the temporary file is
+    raised naming ``path``, and any other error is re-raised.
     """
-    fh = open(path, "w", encoding="utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("{")
             for i, (key, value) in enumerate(doc.items()):
                 fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
@@ -151,10 +153,13 @@ def write_json(doc: dict, path) -> None:
                     fh.write(f"{', ' if j else ''}{text}")
                 fh.write("]")
             fh.write("}\n")
+        os.replace(tmp, path)
     except BaseException as exc:
-        os.remove(path)
+        _remove(tmp)
         if isinstance(exc, ValueError):
             raise DomainError(f"{path}: not written, {exc}") from None
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the caller's path
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -401,41 +406,46 @@ def load_matrix(path, has_header: bool = True) -> DataMatrix:
     """Parse a rectangular CSV into a DataMatrix; blank cells become masked.
 
     Raises ParseError naming the offending row for ragged input, or the
-    (row, column) coordinates for a non-numeric or non-finite cell.
+    (row, column) coordinates for a non-numeric or non-finite cell. The
+    whole file is decoded, and its rows counted, before any cell is parsed,
+    so a byte that is not UTF-8 anywhere wins over a bad cell; a second
+    pass then fills the value and mask arrays one row at a time.
     """
     with prefixed(path):
         with open_text(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
-        rows = [row for row in rows if row]  # drop fully empty lines
-        if not rows:
-            raise ParseError("empty file")
+            widths = [len(row) for row in csv.reader(fh) if row]  # fully empty lines dropped
+            if not widths:
+                raise ParseError("empty file")
+            if has_header:
+                widths = widths[1:]
+            if not widths:
+                raise ParseError("header only, no data rows")
+            fh.seek(0)
+            rows = filter(None, csv.reader(fh))
+            col_ids = [c.strip() for c in next(rows)] if has_header else []
 
-        col_ids: list[str] = []
-        if has_header:
-            col_ids = [c.strip() for c in rows[0]]
-            rows = rows[1:]
-        if not rows:
-            raise ParseError("header only, no data rows")
-
-        width = len(rows[0])
-        values = np.zeros((len(rows), width))
-        mask = np.ones((len(rows), width), dtype=bool)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ParseError(f"ragged row {i + 1} has {len(row)} cells, expected {width}")
-            for j, cell in enumerate(row):
-                cell = cell.strip()
-                if cell == "":
-                    mask[i, j] = False
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}") from None
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite cell at row {i + 1}, column {j + 1}: {cell!r}")
-                values[i, j] = value
+            width = widths[0]
+            values = np.zeros((len(widths), width))
+            mask = np.ones(values.shape, dtype=bool)
+            for i, row in enumerate(rows):
+                if len(row) != width:
+                    raise ParseError(f"ragged row {i + 1} has {len(row)} cells, expected {width}")
+                line = [0.0] * width
+                for j, cell in enumerate(row):
+                    cell = cell.strip()
+                    if cell == "":
+                        mask[i, j] = False
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(f"non-numeric cell at row {i + 1}, "
+                                         f"column {j + 1}: {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"non-finite cell at row {i + 1}, "
+                                         f"column {j + 1}: {cell!r}")
+                    line[j] = value
+                values[i] = line
         if col_ids and len(col_ids) != width:
             raise ParseError(f"header has {len(col_ids)} names for {width} columns")
         return DataMatrix(values, mask, col_ids=col_ids)
@@ -473,16 +483,23 @@ def pairwise_overlap_correlation(data: DataMatrix, min_overlap: int = 3) -> Corr
     is at most 1e-12 times its sum of squares, is named in the raised error.
     Pairs whose sum of squares exceeds 100 times the variance (a window far
     from its row's mean) lose digits in one pass and are redone two-pass.
+    Each N x N array is freed after its last use and the arithmetic runs in
+    place, so at most five are held at once.
     """
     m = data.mask.astype(float)
     x = np.where(data.mask, data.values, 0.0)
     mean = x.sum(1, keepdims=True) / np.maximum(m.sum(1, keepdims=True), 1.0)
     x = np.where(data.mask, x - mean, 0.0)
     count, sums, squares = m @ m.T, x @ m.T, (x * x) @ m.T  # [i, j]: row i on pair's window
+    del m
     with np.errstate(divide="ignore", invalid="ignore"):
-        var = squares - sums * sums / count
-        r = (x @ x.T - sums * sums.T / count) / np.sqrt(var * var.T)
-    flat = ~(var > 1e-12 * squares)  # also true for the NaN of an empty window
+        var = sums * sums
+        var /= count
+        np.subtract(squares, var, out=var)  # squares - sums * sums / count
+    far = squares > 100 * var
+    squares *= 1e-12  # in place: squares' last use
+    flat = ~(var > squares)  # also true for the NaN of an empty window
+    del squares
     bad = np.argwhere(np.triu((count < min_overlap) | flat | flat.T, k=1))
     if bad.size:
         i, j = bad[0]
@@ -491,12 +508,23 @@ def pairwise_overlap_correlation(data: DataMatrix, min_overlap: int = 3) -> Corr
             raise InsufficientOverlapError(
                 f"{pair} share only {overlap} columns, need >= {min_overlap}")
         raise DegeneratePairError(f"{pair} have zero variance on their {overlap}-column overlap")
-    i, j = np.nonzero(np.triu((squares > 100 * var) | (squares > 100 * var).T, k=1))
+    i, j = np.nonzero(np.triu(far | far.T, k=1))
+    redo_count = count[i, j, None]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = sums * sums.T
+        del sums
+        cross /= count
+        del count
+        r = x @ x.T
+        r -= cross  # x @ x.T - sums * sums.T / count
+        np.multiply(var, var.T, out=cross)
+        r /= np.sqrt(cross, out=cross)
     joint = data.mask[i] & data.mask[j]
-    a, b = (np.where(joint, v - (v * joint).sum(1, keepdims=True) / count[i, j, None], 0.0)
+    a, b = (np.where(joint, v - (v * joint).sum(1, keepdims=True) / redo_count, 0.0)
             for v in (x[i], x[j]))
     r[i, j] = r[j, i] = (a * b).sum(1) / np.sqrt((a * a).sum(1) * (b * b).sum(1))
-    r = np.clip(r, -1.0, 1.0)
+    np.clip(r, -1.0, 1.0, out=r)
     np.fill_diagonal(r, 1.0)
     return CorrelationMatrix(r, "pearson", row_ids=list(data.row_ids))
 
@@ -508,17 +536,23 @@ def make_positive_definite(corr: CorrelationMatrix, eps: float = _PD_EPS) -> Cor
     clips the spectrum at c = 2 eps max(1, lambda_max) and the rebuilt B is
     rescaled to D^-1 B D^-1, D = sqrt(diag B). By congruence its smallest
     eigenvalue is >= c / max_i B_ii >= 2 eps; one left under eps by
-    rounding is a DomainError.
+    rounding is a DomainError. The repair runs in place where it can, so
+    it holds at most three N x N arrays besides the input and eigh's own.
     """
     a = np.asarray(corr.values, dtype=float)
     if not np.allclose(a, a.T, rtol=0, atol=_SYMMETRY_ATOL):
         raise DomainError("make_positive_definite requires a symmetric matrix")
-    a = 0.5 * (a + a.T)
+    a = a + a.T
+    a *= 0.5
     if np.linalg.eigvalsh(a)[0] < eps or np.max(np.abs(np.diag(a) - 1.0)) > _UNIT_TOL:
         w, v = np.linalg.eigh(a)
+        del a
         a = (v * np.maximum(w, 2.0 * eps * max(1.0, w[-1]))) @ v.T
-        a = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))
-        a = 0.5 * (a + a.T)
+        del v
+        scale = np.outer(np.diag(a), np.diag(a))
+        a /= np.sqrt(scale, out=scale)
+        a = np.add(a, a.T, out=scale)
+        a *= 0.5
         np.fill_diagonal(a, 1.0)
         if (low := np.linalg.eigvalsh(a)[0]) < eps:
             raise DomainError(f"positive-definite repair left smallest eigenvalue "

@@ -178,7 +178,14 @@ def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _labeling_sums(labeling, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """_cluster_sums of any labeling on the grid of C, its clusters in first-visit order."""
+    """_cluster_sums of any labeling on the grid of C, its clusters in first-visit order.
+
+    A labeling whose last axis is not C's N is a DomainError naming both lengths.
+    """
+    shape = np.shape(labeling)
+    if shape[-1:] != (corr.n,):
+        raise DomainError(f"a labeling of {shape[-1] if shape else 0} nodes does not fit "
+                          f"a correlation matrix of N = {corr.n}")
     return _cluster_sums(sequentialize(labeling), _on_grid(corr.values))
 
 

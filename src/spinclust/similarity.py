@@ -19,6 +19,9 @@ from .dataset import CorrelationMatrix, DataMatrix
 from .errors import DegenerateInputError, DomainError
 from .evaluation import minimum_spanning_tree
 
+# rows and columns per tile when a matrix is symmetrized in place
+_TILE = 128
+
 
 @dataclass
 class NeighborGraph:
@@ -54,15 +57,23 @@ class StrengthGraph:
 
 
 def euclidean_distances(data: DataMatrix) -> np.ndarray:
-    """Pairwise Euclidean distances between rows; requires fully observed data."""
+    """Pairwise Euclidean distances between rows; requires fully observed data.
+
+    d_ij = sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i . x_j, 0)), 0 on the diagonal,
+    computed in place so that two N x N arrays are held at once.
+    """
     if not data.fully_observed:
         raise DomainError("euclidean_distances requires fully observed data; "
                           "build a correlation matrix instead")
     x = data.values
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(np.maximum(d2, 0.0))
+    d = sq[:, None] + sq[None, :]
+    gram = x @ x.T
+    gram *= 2.0
+    d -= gram
+    np.fill_diagonal(d, 0.0)
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
 
 
 def correlation_to_distance(corr: CorrelationMatrix) -> np.ndarray:
@@ -80,16 +91,38 @@ def correlation_to_distance(corr: CorrelationMatrix) -> np.ndarray:
 
 
 def similarity_from_distance(dist: np.ndarray, row_ids=None) -> CorrelationMatrix:
-    """Rescale distances by the global maximum and flip: s = 1 - d / max(d)."""
+    """Rescale distances by the global maximum and flip: s = 1 - d / max(d).
+
+    s is then symmetrized, 0.5 (s + s.T), in place; one N x N array is held
+    besides ``dist``.
+    """
     d = np.asarray(dist, dtype=float)
     dmax = d.max()
     if dmax <= 0.0:
         raise DegenerateInputError("all distances are zero; similarity undefined")
-    s = 1.0 - d / dmax
+    s = np.divide(d, dmax)
+    np.subtract(1.0, s, out=s)
     np.fill_diagonal(s, 1.0)
-    s = 0.5 * (s + s.T)
+    _symmetrize(s)
     return CorrelationMatrix(s, "similarity_from_distance",
                              row_ids=list(row_ids) if row_ids else [])
+
+
+def _symmetrize(s: np.ndarray) -> None:
+    """Set s to 0.5 (s + s.T) in place, one pair of _TILE x _TILE tiles at a time.
+
+    Both tiles of a pair are read before either is written; the sum is the
+    same bits in either order, so the tile below is the transpose of the
+    one above.
+    """
+    n = s.shape[0]
+    for lo in range(0, n, _TILE):
+        for col in range(lo, n, _TILE):
+            upper, lower = s[lo:lo + _TILE, col:col + _TILE], s[col:col + _TILE, lo:lo + _TILE]
+            mean = upper + lower.T
+            mean *= 0.5
+            upper[...] = mean
+            lower[...] = mean.T
 
 
 def mutual_knn_graph(dist: np.ndarray, k: int) -> NeighborGraph:

@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +81,30 @@ class TestLoadMatrix:
         with pytest.raises(ParseError, match=f"bad.csv: not UTF-8 text: byte 0xff at offset "
                                              f"{len(head) + 2}$"):
             load_matrix(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3\n4,x\n", "ragged row 2 has 1 cells, expected 2"),
+        ("a,b\n1,2\n3, x \n4\n", "non-numeric cell at row 2, column 2: 'x'"),
+        ("a,b,c\n\n1, nan ,x\n", "non-finite cell at row 1, column 2: 'nan'"),
+        ("", "empty file"),
+        ("\n\r\n", "empty file"),
+        ("a,b\n\n", "header only, no data rows"),
+        ("a,b,c\n1,2\n", "header has 3 names for 2 columns"),
+        ("a,b,c\n1,x\n", "non-numeric cell at row 1, column 2: 'x'"),
+    ], ids=["ragged-before-cell", "cell-before-ragged", "first-bad-cell-of-row", "empty",
+            "blank-lines", "header-only", "header-width", "cell-before-header-width"])
+    def test_errors_and_their_order(self, tmp_path, text, message):
+        p = write(tmp_path, text)
+        with pytest.raises(ParseError) as got:
+            load_matrix(p)
+        assert str(got.value) == f"{p}: {message}"
+
+    def test_non_utf8_byte_wins_over_an_earlier_bad_cell(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"a,b\n1,x\n2,\xff\n")
+        with pytest.raises(ParseError) as got:
+            load_matrix(p)
+        assert str(got.value) == f"{p}: not UTF-8 text: byte 0xff at offset 10"
 
     def test_non_finite_masked_cell_allowed(self):
         vals = np.array([[1.0, np.nan], [2.0, 3.0]])
@@ -238,6 +264,107 @@ class TestOverlapCorrelation:
             pairwise_overlap_correlation(DataMatrix(vals, None))
 
 
+def traced_peak(f, *args):
+    """f(*args) and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the memory guards' size: N x D with 3% blank cells
+GUARD_N, GUARD_D = 300, 250
+NN = GUARD_N * GUARD_N * 8  # bytes of one N x N float array
+
+
+def guard_panel() -> DataMatrix:
+    """An N x D panel with 3% blank cells; five rows take a spike in column 0,
+    which five others leave blank, so those pairs are redone two-pass."""
+    rng = np.random.default_rng(11)
+    vals = 10.0 + rng.normal(size=(GUARD_N, GUARD_D))
+    mask = rng.random((GUARD_N, GUARD_D)) >= 0.03
+    vals[:5, 0], mask[:5, 0], mask[5:10, 0] = 1e6, True, False
+    return DataMatrix(vals, mask)
+
+
+def overlap_before(data: DataMatrix) -> np.ndarray:
+    """pairwise_overlap_correlation's values by its whole-array expressions of
+    before it ran in place, on input that raises nothing: a bit oracle."""
+    m = data.mask.astype(float)
+    x = np.where(data.mask, data.values, 0.0)
+    mean = x.sum(1, keepdims=True) / np.maximum(m.sum(1, keepdims=True), 1.0)
+    x = np.where(data.mask, x - mean, 0.0)
+    count, sums, squares = m @ m.T, x @ m.T, (x * x) @ m.T
+    var = squares - sums * sums / count
+    r = (x @ x.T - sums * sums.T / count) / np.sqrt(var * var.T)
+    i, j = np.nonzero(np.triu((squares > 100 * var) | (squares > 100 * var).T, k=1))
+    assert i.size, "no pair is redone two-pass"
+    joint = data.mask[i] & data.mask[j]
+    a, b = (np.where(joint, v - (v * joint).sum(1, keepdims=True) / count[i, j, None], 0.0)
+            for v in (x[i], x[j]))
+    r[i, j] = r[j, i] = (a * b).sum(1) / np.sqrt((a * a).sum(1) * (b * b).sum(1))
+    r = np.clip(r, -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+def repair_before(values: np.ndarray, eps: float = 1e-10) -> np.ndarray:
+    """make_positive_definite's values by its expressions of before it ran in place."""
+    a = 0.5 * (values + values.T)
+    if np.linalg.eigvalsh(a)[0] < eps or np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
+        w, v = np.linalg.eigh(a)
+        a = (v * np.maximum(w, 2.0 * eps * max(1.0, w[-1]))) @ v.T
+        a = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))
+        a = 0.5 * (a + a.T)
+        np.fill_diagonal(a, 1.0)
+    return a
+
+
+def load_before(path) -> tuple[np.ndarray, np.ndarray]:
+    """load_matrix's values and mask, from every cell kept as a string, on valid input."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = [[cell.strip() for cell in row] for row in csv.reader(fh) if row][1:]
+    return (np.array([[float(c) if c else 0.0 for c in row] for row in cells]),
+            np.array([[c != "" for c in row] for row in cells]))
+
+
+class TestPreprocessBitsAndMemory:
+    """Same bits as the whole-array expressions, within a bound in N x N arrays.
+
+    Before the in-place rewrite the traced peaks read 8.7 (overlap), 4.0
+    (repair) and 10.7 N x D arrays (loader).
+    """
+
+    def test_load_matrix(self, tmp_path):
+        data = guard_panel()
+        p = tmp_path / "panel.csv"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"d{j}" for j in range(GUARD_D)) + "\n")
+            for row, seen in zip(data.values.tolist(), data.mask.tolist()):
+                fh.write(",".join(f" {v!r}" if k else " " for v, k in zip(row, seen)) + "\n")
+        got, peak = traced_peak(load_matrix, p)
+        values, mask = load_before(p)
+        assert got.values.tobytes() == values.tobytes()
+        assert np.array_equal(got.mask, mask) and np.array_equal(mask, data.mask)
+        assert peak <= 2.5 * GUARD_N * GUARD_D * 8
+
+    def test_pairwise_overlap_correlation(self):
+        data = guard_panel()
+        got, peak = traced_peak(pairwise_overlap_correlation, data)
+        assert got.values.tobytes() == overlap_before(data).tobytes()
+        assert peak <= 6.5 * NN
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-13])
+    def test_make_positive_definite(self, skew):
+        corr = pairwise_overlap_correlation(guard_panel())
+        values = corr.values + np.triu(np.full(corr.values.shape, skew), k=1)
+        got, peak = traced_peak(make_positive_definite, CorrelationMatrix(values, "pearson"))
+        assert np.linalg.eigvalsh(corr.values)[0] < 1e-10  # N > D: the repair runs
+        assert got.values.tobytes() == repair_before(values).tobytes()
+        assert peak <= 3.5 * NN
+
+
 class TestMakePositiveDefinite:
     def test_identity_unchanged(self):
         c = CorrelationMatrix(np.eye(4), "pearson")
@@ -340,6 +467,24 @@ class TestEnvelopes:
         write_json({"values": [1.0, 0.5]}, p)
         assert p.read_text() == '{"values": [1.0, 0.5]}\n'
 
+    @pytest.mark.parametrize("bad", [{"values": [1.0, float("nan")]},
+                                     CorrelationMatrix(np.full((3, 3), np.inf), "pearson")
+                                     .to_envelope()], ids=["list", "matrix"])
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, bad):
+        p = tmp_path / "x.json"
+        write_json({"values": [1.0, 0.5]}, p)
+        good = p.read_bytes()
+        with pytest.raises(DomainError, match="x.json: not written"):
+            write_json(bad, p)
+        assert p.read_bytes() == good
+        assert list(tmp_path.iterdir()) == [p]  # no temporary file left
+
+    def test_unwritable_path_is_named(self, tmp_path):
+        p = tmp_path / "missing" / "x.json"
+        with pytest.raises(FileNotFoundError) as got:
+            write_json({"a": 1}, p)
+        assert got.value.filename == str(p)
+
     def test_write_json_text_is_json_dump(self, tmp_path):
         doc = {"kind": "x", "empty": [], "pair": (1, 2.5), "n": 3, "none": None,
                "name": "caf\u00e9 \"q\"", "nested": {"a": [1, {"b": [0.1, -2e-300]}]},
@@ -349,7 +494,7 @@ class TestEnvelopes:
         assert p.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
         with pytest.raises(DomainError, match="doc.json"):
             write_json({"ok": 1.0, "rows": [[1.0], [float("inf")]]}, p)
-        assert not p.exists()
+        assert p.read_text(encoding="utf-8") == json.dumps(doc) + "\n"  # the earlier file
 
     def test_write_json_unencodable_value_leaves_no_file(self, tmp_path):
         p = tmp_path / "x.json"

@@ -336,6 +336,19 @@ class TestKmeansHamiltonian:
             kmeans_hamiltonian([0, 0], CorrelationMatrix(c, "pearson"))
 
 
+class TestLabelingLength:
+    @pytest.mark.parametrize("score", [likelihood, kmeans_hamiltonian, cluster_stats])
+    @pytest.mark.parametrize("labels", [np.arange(60) // 6, np.zeros(10, dtype=int),
+                                        np.zeros(600, dtype=int), np.zeros((3, 600), dtype=int)],
+                             ids=["blocks-60", "zeros-10", "zeros-600", "batch-600"])
+    def test_wrong_length_names_both(self, score, labels):
+        rng = np.random.default_rng(44)
+        corr = CorrelationMatrix(np.corrcoef(rng.normal(size=(500, 40))), "pearson")
+        with pytest.raises(DomainError, match=f"^a labeling of {labels.shape[-1]} nodes "
+                                              f"does not fit a correlation matrix of N = 500$"):
+            score(labels, corr)
+
+
 class TestMutate:
     def valid(self, labels, n):
         assert labels.size == n

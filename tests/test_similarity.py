@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_dataset import GUARD_D, GUARD_N, NN, traced_peak
 from test_evaluation import kruskal_reference, tied_distances
 
 from spinclust.dataset import CorrelationMatrix, DataMatrix
@@ -95,6 +96,44 @@ class TestSimilarityFromDistance:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             similarity_from_distance(np.zeros((3, 3)))
+
+
+def distances_before(x: np.ndarray) -> np.ndarray:
+    """euclidean_distances by its whole-array expressions of before it ran in place."""
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def similarity_before(d: np.ndarray) -> np.ndarray:
+    """similarity_from_distance's values by its expressions of before it ran in place."""
+    s = 1.0 - d / d.max()
+    np.fill_diagonal(s, 1.0)
+    return 0.5 * (s + s.T)
+
+
+class TestSimilarityPathBitsAndMemory:
+    """Same bits as the whole-array expressions, within a bound in N x N arrays.
+
+    Before the in-place rewrite the traced peaks read 3.0 (distances) and
+    2.1 N x N arrays (similarity).
+    """
+
+    def test_euclidean_distances(self):
+        x = np.random.default_rng(12).normal(size=(GUARD_N, GUARD_D))
+        got, peak = traced_peak(euclidean_distances, DataMatrix(x, None))
+        assert got.tobytes() == distances_before(x).tobytes()
+        assert peak <= 2.5 * NN
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-3])
+    def test_similarity_from_distance(self, skew):
+        rng = np.random.default_rng(13)
+        d = euclidean_distances(DataMatrix(rng.normal(size=(GUARD_N, GUARD_D)), None))
+        d += rng.uniform(0.0, skew, size=d.shape)  # tiles above and below then differ
+        got, peak = traced_peak(similarity_from_distance, d)
+        assert got.values.tobytes() == similarity_before(d).tobytes()
+        assert peak <= 1.75 * NN
 
 
 def brute_mutual_knn(d, k):
