@@ -27,6 +27,7 @@ from .dataset import (
     load_matrix,
     make_positive_definite,
     log_returns,
+    open_output,
     open_text,
     pairwise_overlap_correlation,
     read_json,
@@ -70,7 +71,7 @@ def parse_trange(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise DomainError(f"non-numeric temperature range {spec!r}") from None
-    if step <= 0 or start <= 0 or stop < start:
+    if not (0 < start <= stop < np.inf and 0 < step < np.inf):  # also false for NaN
         raise DomainError(f"bad temperature range {spec!r}")
     grid = []
     i = 0
@@ -148,12 +149,12 @@ def cmd_generate(args) -> int:
             except ValueError:
                 raise DomainError(f"--sigmas item {item!r} is not a number") from None
         data, labels = generate_blobs(args.n, args.dims, sigmas, seed=args.seed)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with open_output(args.output) as fh:
         fh.write(",".join(data.col_ids) + "\n")
         for row in data.values:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     labels_path = args.labels or (args.output + ".labels.csv")
-    with open(labels_path, "w", encoding="utf-8") as fh:
+    with open_output(labels_path) as fh:
         fh.writelines(f"{int(lab)}\n" for lab in labels)
     print(f"wrote {args.output} ({data.n_rows} x {data.n_cols}) and {labels_path}")
     return 0
@@ -283,9 +284,9 @@ def cmd_validate(args) -> int:
         md.append(f"\nARI maximum vs reference: T={best_t:g} (ARI={best_ari:.4f})\n")
 
     write_json(doc, args.output + ".json")
-    with open(args.output + ".md", "w", encoding="utf-8") as fh:
+    with open_output(args.output + ".md") as fh:
         fh.write("".join(md))
-    with open(args.output + ".csv", "w", encoding="utf-8") as fh:
+    with open_output(args.output + ".csv") as fh:
         fh.write("T,F,S,chi,mean_m\n")
         for (t, f, s, c), st in zip(fec, sweep):
             fh.write(f"{t!r},{f!r},{s!r},{c!r},{st.mean_magnetization!r}\n")
@@ -299,7 +300,7 @@ def cmd_mst(args) -> int:
         mst = minimum_spanning_tree(_distances_from_input(obj))
     write_json(mst.to_dict(), args.output)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
+        with open_output(args.dot) as fh:
             fh.write(mst.to_dot(obj.row_ids))
     print(f"wrote MST ({mst.i.size} edges, total weight "
           f"{mst.total_weight:.6g}) to {args.output}")

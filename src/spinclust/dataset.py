@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import stat
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -128,16 +129,10 @@ def write_json(doc: dict, path) -> None:
     The text is ``json.dump``'s, with a square float array written as its
     ``tolist()``. It is encoded by ``json.dumps`` (the C encoder) one
     top-level value, or one item of a top-level list, at a time, and an
-    array one row at a time (see ``_square_rows``), so memory holds one
-    item's text. The text goes to a temporary file beside ``path``, moved
-    into place once complete, so an error leaves no invalid JSON and keeps
-    any earlier file at ``path``; the temporary file is removed. json's
-    ValueError becomes the DomainError, an OSError on the temporary file is
-    raised naming ``path``, and any other error is re-raised.
+    array one row at a time (see ``_square_rows``), so memory holds one item's text.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             fh.write("{")
             for i, (key, value) in enumerate(doc.items()):
                 fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
@@ -153,14 +148,8 @@ def write_json(doc: dict, path) -> None:
                     fh.write(f"{', ' if j else ''}{text}")
                 fh.write("]")
             fh.write("}\n")
-        os.replace(tmp, path)
-    except BaseException as exc:
-        _remove(tmp)
-        if isinstance(exc, ValueError):
-            raise DomainError(f"{path}: not written, {exc}") from None
-        if isinstance(exc, OSError) and exc.filename == tmp:  # name the caller's path
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-        raise
+    except ValueError as exc:
+        raise DomainError(f"{path}: not written, {exc}") from None
 
 
 def _square_rows(a: np.ndarray):
@@ -207,6 +196,31 @@ def open_text(path, newline=None):
                 raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
                                  f"at offset {exc.start}") from None
             raise
+
+
+@contextmanager
+def open_output(path, mode="w"):
+    """Open ``path`` to write UTF-8 text (bytes if ``mode`` is "wb"), the twin of open_text.
+
+    Writes go to ``<path>.<pid>.tmp``, moved into place at the end; an error removes it.
+    A ``path`` that exists and is not a regular file (a symlink, a pipe, ``/dev/stdout``)
+    is written in place instead, so that it stays what it is.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        _remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the caller's path
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
 
 
 def read_json(path):
@@ -294,22 +308,15 @@ def _write_sidecar(corr: CorrelationMatrix, path, sidecar: str) -> None:
     An uncompressed npz of ``values`` (C-contiguous float64), ``kind``,
     ``row_ids`` (str) and ``digest``, the hex SHA-256 of the JSON bytes. The
     JSON holds shortest round-trip floats, so these values are the bits a
-    parse of it gives. The file is written under a temporary name and moved
-    into place. Row ids that a numpy str array would change (an id that is
+    parse of it gives. Row ids that a numpy str array would change (an id that is
     not a str, or that ends in NUL) get no sidecar.
     """
     if not all(isinstance(r, str) and not r.endswith("\0") for r in corr.row_ids):
         return
-    tmp = f"{sidecar}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, values=np.ascontiguousarray(corr.values, dtype=np.float64),
-                     kind=np.array(corr.kind), row_ids=np.array(corr.row_ids, dtype=np.str_),
-                     digest=np.array(_file_digest(path)))
-        os.replace(tmp, sidecar)
-    except BaseException:
-        _remove(tmp)
-        raise
+    with open_output(sidecar, "wb") as fh:
+        np.savez(fh, values=np.ascontiguousarray(corr.values, dtype=np.float64),
+                 kind=np.array(corr.kind), row_ids=np.array(corr.row_ids, dtype=np.str_),
+                 digest=np.array(_file_digest(path)))
 
 
 def _load_sidecar(path) -> tuple | None:

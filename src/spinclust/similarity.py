@@ -19,7 +19,8 @@ from .dataset import CorrelationMatrix, DataMatrix
 from .errors import DegenerateInputError, DomainError
 from .evaluation import minimum_spanning_tree
 
-# rows and columns per tile when a matrix is symmetrized in place
+# rows and columns per tile when a matrix is symmetrized in place, and rows per
+# block when the k-NN step partitions a copy of the distances
 _TILE = 128
 
 
@@ -164,12 +165,15 @@ def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
     +inf on the diagonal of ``ranked``, without sorting whole rows: a
     partition gives each row's k-th smallest distance, and only the
     candidates up to it, which ``np.nonzero`` lists in ascending index
-    order, are sorted.
+    order, are sorted. The partition runs on _TILE rows at a time, so one
+    N x N copy of ``d`` is held, ``ranked``.
     """
     n = d.shape[0]
     ranked = d.copy()
     np.fill_diagonal(ranked, np.inf)
-    kth = np.partition(ranked, k - 1, axis=1)[:, k - 1]
+    kth = np.empty(n)
+    for lo in range(0, n, _TILE):
+        kth[lo:lo + _TILE] = np.partition(ranked[lo:lo + _TILE], k - 1, axis=1)[:, k - 1]
     r, c = np.nonzero(ranked <= kth[:, None])
     order = np.lexsort((c, ranked[r, c], r))
     counts = np.bincount(r, minlength=n)

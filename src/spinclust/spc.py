@@ -394,8 +394,8 @@ def temperature_sweep(strengths: StrengthGraph, grid, m_steps: int = 2000,
     grid = [float(t) for t in grid]
     if not grid:
         raise DomainError("temperature grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("temperature grid must be strictly increasing")
+    if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("temperature grid must be finite and strictly increasing")
     seeds = [np.random.SeedSequence((seed, idx)) for idx in range(len(grid))]
     blocks = np.array_split(np.arange(len(grid)), max(1, min(workers, len(grid))))
     if len(blocks) == 1:

@@ -1,4 +1,6 @@
 import ast
+import builtins
+import errno
 import hashlib
 import inspect
 import json
@@ -88,6 +90,14 @@ class TestParseTrange:
         for bad in ("0.1:0.2", "a:b:c", "0.1:0.05:0.01", "-0.1:0.2:0.1", "0.1:0.2:0"):
             with pytest.raises(DomainError):
                 parse_trange(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_part_rejected(self, value, position):
+        parts = ["0.1", "1", "0.1"]
+        parts[position] = value
+        with pytest.raises(DomainError, match="bad temperature range"):
+            parse_trange(":".join(parts))
 
 
 class TestGenerate:
@@ -872,6 +882,18 @@ class TestUsageErrors:
         assert run("spc", "--input", str(data), "--t", "nope",
                    "--output", str(tmp_path / "s.json")) == 1
 
+    def test_infinite_trange_stop_exit_1(self, tmp_path, capsys):
+        """Without a finiteness check the grid loop never ended."""
+        data = tmp_path / "d.csv"
+        run("generate", "blobs", "--n", "12", "--dims", "2",
+            "--sigmas", "0.2,0.2", "--seed", "1", "--output", str(data))
+        capsys.readouterr()
+        assert run("spc", "--input", str(data), "--t", "0.1:inf:0.1",
+                   "--output", str(tmp_path / "s.json")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad temperature range '0.1:inf:0.1'"]
+        assert not (tmp_path / "s.json").exists()
+
     def test_fspc_on_data_envelope_exit_1(self, tmp_path):
         data = tmp_path / "d.csv"
         run("generate", "blobs", "--n", "12", "--dims", "2",
@@ -916,6 +938,75 @@ class TestEnvelopeSidecar:
         assert run("preprocess", "--input", "blobs.csv", "--output", "sim.json") == 0
         assert not sidecar.exists()
         assert run("fspc", "--corr", "sim.json", "--output", "r.json") == 1
+
+
+class FullDisk:
+    """An open file whose every write lands and then raises ENOSPC, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+# each output file the CLI writes, and a command that writes it ({out}: where)
+OUTPUTS = {
+    "d.csv": "generate blobs --n 24 --dims 2 --output {out}/d.csv",
+    "d.csv.labels.csv": "generate blobs --n 24 --dims 2 --output {out}/d.csv",
+    "sim.json": "preprocess --input {data} --corr similarity --output {out}/sim.json",
+    "sim.json.npz": "preprocess --input {data} --corr similarity --output {out}/sim.json",
+    "sweep.json": "spc --input {data} --k 4 --t 0.05:0.15:0.05 --steps 30 --burn-in 5 "
+                  "--output {out}/sweep.json",
+    "r.json": "fspc --corr {sim} --pop 10 --gens 20 --output {out}/r.json",
+    "report.json": "validate --sweep {sweep} --corr {sim} --output {out}/report",
+    "report.md": "validate --sweep {sweep} --corr {sim} --output {out}/report",
+    "report.csv": "validate --sweep {sweep} --corr {sim} --output {out}/report",
+    "mst.json": "mst --input {data} --output {out}/mst.json --dot {out}/mst.dot",
+    "mst.dot": "mst --input {data} --output {out}/mst.json --dot {out}/mst.dot",
+}
+
+
+class TestInterruptedWrite:
+    """A write that fails after its first chunk keeps the earlier file at that path."""
+
+    @pytest.mark.parametrize("name", list(OUTPUTS))
+    def test_earlier_file_kept(self, pipeline, tmp_path, monkeypatch, capsys, name):
+        _, data, sim, sweep, _ = pipeline
+        target = tmp_path / name
+        target.write_bytes(b"earlier bytes\n")
+        real_open = builtins.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            writes = "w" in mode and str(file).startswith(str(target))
+            return FullDisk(fh) if writes else fh
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        argv = OUTPUTS[name].format(out=tmp_path, data=data, sim=sim, sweep=sweep)
+        assert main(argv.split()) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [Errno 28] No space left on device"]
+        if name.endswith(".npz"):  # removed before the JSON is written: it would not match it
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == b"earlier bytes\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestReadmeCommands:

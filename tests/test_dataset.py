@@ -485,6 +485,17 @@ class TestEnvelopes:
             write_json({"a": 1}, p)
         assert got.value.filename == str(p)
 
+    def test_symlink_output_is_written_through(self, tmp_path):
+        """Moving a temporary file onto a link would replace the link, as it would
+        /dev/stdout, so a path that is not a regular file is written in place."""
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("earlier\n")
+        link.symlink_to(target)
+        write_json({"a": 1}, link)
+        assert link.is_symlink()
+        assert target.read_text() == '{"a": 1}\n'
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["link.json", "target.json"]
+
     def test_write_json_text_is_json_dump(self, tmp_path):
         doc = {"kind": "x", "empty": [], "pair": (1, 2.5), "n": 3, "none": None,
                "name": "caf\u00e9 \"q\"", "nested": {"a": [1, {"b": [0.1, -2e-300]}]},

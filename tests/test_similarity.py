@@ -117,7 +117,8 @@ class TestSimilarityPathBitsAndMemory:
     """Same bits as the whole-array expressions, within a bound in N x N arrays.
 
     Before the in-place rewrite the traced peaks read 3.0 (distances) and
-    2.1 N x N arrays (similarity).
+    2.1 N x N arrays (similarity); before the k-NN partition ran on blocks of
+    rows, 2.2 (k-NN).
     """
 
     def test_euclidean_distances(self):
@@ -134,6 +135,16 @@ class TestSimilarityPathBitsAndMemory:
         got, peak = traced_peak(similarity_from_distance, d)
         assert got.values.tobytes() == similarity_before(d).tobytes()
         assert peak <= 1.75 * NN
+
+    def test_k_nearest(self):
+        d = euclidean_distances(DataMatrix(np.random.default_rng(14).normal(
+            size=(GUARD_N, GUARD_D)), None))
+        d[3, 7] = d[7, 3] = np.inf
+        got, peak = traced_peak(_k_nearest, d, 10)
+        ranked = d.copy()
+        np.fill_diagonal(ranked, np.inf)
+        assert got.tobytes() == np.argsort(ranked, axis=1, kind="stable")[:, :10].tobytes()
+        assert peak <= 1.6 * NN
 
 
 def brute_mutual_knn(d, k):

@@ -533,6 +533,14 @@ class TestTemperatureSweep:
         with pytest.raises(DomainError, match="temperature must be positive"):
             temperature_sweep(s, [-0.1, 0.2], m_steps=20, burn_in=5, workers=2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_temperature_rejected(self, value, position):
+        grid = [0.01, 0.02, 0.03]
+        grid[position] = value
+        with pytest.raises(DomainError, match="finite and strictly increasing"):
+            temperature_sweep(small_strength_graph(), grid, m_steps=20, burn_in=5)
+
     def test_susceptibility_low_at_both_grid_ends(self):
         # uniform ring: clean ordered phase at the cold end, disorder at the hot end
         n = 40
