@@ -9,12 +9,18 @@ Subcommands chain through JSON envelopes (see FORMATS.md):
     validate   phase report, likelihood/ARI curves, free-energy table
     mst        minimum-spanning-tree export (JSON and DOT)
 
+A subcommand's outputs are moved into place together when it ends, and
+its status line is printed then: to stdout, or to stderr when one of its
+outputs is stdout's own file.
+
 Exit codes: 0 success, 1 data/domain error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 import numpy as np
@@ -23,6 +29,7 @@ from . import __version__
 from .dataset import (
     CorrelationMatrix,
     DataMatrix,
+    commit_outputs,
     load_envelope,
     load_matrix,
     make_positive_definite,
@@ -51,6 +58,9 @@ from .thermo import free_energy_curve
 from .validation import ari_vs_temperature, lc_vs_temperature, phase_report
 
 
+_MAX_GRID = 100_000  # the most temperatures an --t grid may hold
+
+
 def _worker_count(raw: str) -> int:
     """argparse type for --threads: an integer of at least 1."""
     try:
@@ -63,7 +73,13 @@ def _worker_count(raw: str) -> int:
 
 
 def parse_trange(spec: str) -> list[float]:
-    """Parse 'start:stop:step' into an inclusive increasing grid."""
+    """Parse 'start:stop:step' into an inclusive increasing grid.
+
+    Point i is start + i * step rounded to 12 decimals, while it is at most
+    stop. A step under 1e-12 or under the float spacing at stop (the points
+    would repeat, or never pass stop) or a grid of more than _MAX_GRID points
+    is a DomainError, raised before any point is made.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"temperature range must be start:stop:step, got {spec!r}")
@@ -73,6 +89,9 @@ def parse_trange(spec: str) -> list[float]:
         raise DomainError(f"non-numeric temperature range {spec!r}") from None
     if not (0 < start <= stop < np.inf and 0 < step < np.inf):  # also false for NaN
         raise DomainError(f"bad temperature range {spec!r}")
+    if step < max(1e-12, math.ulp(stop)) or (stop - start) / step >= _MAX_GRID:
+        raise DomainError(f"bad temperature range {spec!r}: the step must be at least 1e-12 "
+                          f"and give at most {_MAX_GRID} points")
     grid = []
     i = 0
     while True:
@@ -138,7 +157,7 @@ def _read_labels(path: str) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> str:
     if args.dataset == "circles":
         data, labels = generate_circles(args.n, noise=args.noise, seed=args.seed)
     else:
@@ -156,11 +175,10 @@ def cmd_generate(args) -> int:
     labels_path = args.labels or (args.output + ".labels.csv")
     with open_output(labels_path) as fh:
         fh.writelines(f"{int(lab)}\n" for lab in labels)
-    print(f"wrote {args.output} ({data.n_rows} x {data.n_cols}) and {labels_path}")
-    return 0
+    return f"wrote {args.output} ({data.n_rows} x {data.n_cols}) and {labels_path}"
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args) -> str:
     """Stages in a fixed order: data transforms, --corr, --denoise, --pd.
 
     A flag whose stage has nothing to act on is an error naming it, found
@@ -215,14 +233,12 @@ def cmd_preprocess(args) -> int:
             corr = make_positive_definite(corr)
     if corr is None:
         save_envelope(data, args.output)
-        print(f"wrote data envelope {args.output}")
-        return 0
+        return f"wrote data envelope {args.output}"
     save_envelope(corr, args.output)
-    print(f"wrote {corr.kind} correlation envelope {args.output}")
-    return 0
+    return f"wrote {corr.kind} correlation envelope {args.output}"
 
 
-def cmd_spc(args) -> int:
+def cmd_spc(args) -> str:
     grid = parse_trange(args.t)
     obj = _load_table(args.input, args.has_header)
     n = obj.values.shape[0]
@@ -238,11 +254,10 @@ def cmd_spc(args) -> int:
               "burn_in": args.burn_in, "seed": args.seed, "t": args.t,
               "k_hat": graph.k_hat, "length_scale_a": graph.length_scale_a}
     write_json(sweep_to_json(sweep, params=params, with_g=args.dump_g), args.output)
-    print(f"wrote sweep with {len(sweep)} temperatures to {args.output}")
-    return 0
+    return f"wrote sweep with {len(sweep)} temperatures to {args.output}"
 
 
-def cmd_fspc(args) -> int:
+def cmd_fspc(args) -> str:
     corr = _load_correlation(args.corr)
     if corr.n < 2:
         raise DomainError(f"{args.corr}: the search needs at least 2 nodes, got {corr.n}")
@@ -252,12 +267,11 @@ def cmd_fspc(args) -> int:
     except DegenerateClusterError as exc:  # the matrix's fault; a bad flag names no file
         raise DegenerateClusterError(f"{args.corr}: {exc}") from None
     write_json(res.to_dict(), args.output)
-    print(f"wrote result (fitness {res.fitness:.6g}, "
-          f"{res.generations_run} generations) to {args.output}")
-    return 0
+    return (f"wrote result (fitness {res.fitness:.6g}, "
+            f"{res.generations_run} generations) to {args.output}")
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     sweep_doc = read_json(args.sweep)
     with prefixed(args.sweep):
         sweep = sweep_from_json(sweep_doc)
@@ -290,11 +304,10 @@ def cmd_validate(args) -> int:
         fh.write("T,F,S,chi,mean_m\n")
         for (t, f, s, c), st in zip(fec, sweep):
             fh.write(f"{t!r},{f!r},{s!r},{c!r},{st.mean_magnetization!r}\n")
-    print(f"wrote {args.output}.json, {args.output}.md, {args.output}.csv")
-    return 0
+    return f"wrote {args.output}.json, {args.output}.md, {args.output}.csv"
 
 
-def cmd_mst(args) -> int:
+def cmd_mst(args) -> str:
     obj = _load_table(args.input, args.has_header)
     with prefixed(args.input):
         mst = minimum_spanning_tree(_distances_from_input(obj))
@@ -302,9 +315,8 @@ def cmd_mst(args) -> int:
     if args.dot:
         with open_output(args.dot) as fh:
             fh.write(mst.to_dot(obj.row_ids))
-    print(f"wrote MST ({mst.i.size} edges, total weight "
-          f"{mst.total_weight:.6g}) to {args.output}")
-    return 0
+    return (f"wrote MST ({mst.i.size} edges, total weight "
+            f"{mst.total_weight:.6g}) to {args.output}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,10 +438,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        with commit_outputs() as outputs:
+            status = args.func(args)
     except (SpinclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # an output that is stdout's own file, such as /dev/stdout, keeps stdout to itself
+    print(status, file=sys.stderr if any(map(_is_stdout, outputs)) else sys.stdout)
+    return 0
+
+
+def _is_stdout(path) -> bool:
+    """Whether ``path`` is the file that stdout writes to."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # also a stdout that has no file descriptor
+        return False
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import os
 import stat
 import zipfile
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,33 +124,44 @@ class CorrelationMatrix:
                 "col_ids": list(self.row_ids), "values": self.values}
 
 
-def write_json(doc: dict, path) -> None:
+def write_json(doc: dict, path) -> str:
     """Write ``doc`` as strict JSON plus a newline; NaN or infinity is a DomainError.
 
     The text is ``json.dump``'s, with a square float array written as its
     ``tolist()``. It is encoded by ``json.dumps`` (the C encoder) one
     top-level value, or one item of a top-level list, at a time, and an
     array one row at a time (see ``_square_rows``), so memory holds one item's text.
+    Returns the hex SHA-256 of the bytes written.
     """
+    import hashlib  # here, not at the top: it adds ~5 ms to every CLI start
+
+    digest = hashlib.sha256()
+
+    def write(text: str) -> None:
+        data = text.encode()  # json.dumps writes ASCII
+        digest.update(data)
+        fh.write(data)
+
     try:
-        with open_output(path) as fh:
-            fh.write("{")
+        with open_output(path, "wb") as fh:
+            write("{")
             for i, (key, value) in enumerate(doc.items()):
-                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                write(f"{', ' if i else ''}{json.dumps(key)}: ")
                 if isinstance(value, np.ndarray):
                     items = _square_rows(value)
                 elif isinstance(value, (list, tuple)):
                     items = (json.dumps(item, allow_nan=False) for item in value)
                 else:
-                    fh.write(json.dumps(value, allow_nan=False))
+                    write(json.dumps(value, allow_nan=False))
                     continue
-                fh.write("[")
+                write("[")
                 for j, text in enumerate(items):
-                    fh.write(f"{', ' if j else ''}{text}")
-                fh.write("]")
-            fh.write("}\n")
+                    write(f"{', ' if j else ''}{text}")
+                write("]")
+            write("}\n")
     except ValueError as exc:
         raise DomainError(f"{path}: not written, {exc}") from None
+    return digest.hexdigest()
 
 
 def _square_rows(a: np.ndarray):
@@ -198,16 +210,60 @@ def open_text(path, newline=None):
             raise
 
 
+@dataclass
+class _Outputs:
+    """The outputs opened inside a commit_outputs block."""
+
+    paths: list = field(default_factory=list)  # every output, in the order opened
+    held: list = field(default_factory=list)   # (tmp, path): moved into place at the end
+
+
+_open_block: ContextVar[_Outputs | None] = ContextVar("_open_block", default=None)
+
+
+@contextmanager
+def commit_outputs():
+    """Move every output that open_output writes inside the block into place at its end.
+
+    An error inside the block removes them all, so a command that fails on
+    any of its outputs leaves every earlier file as it was. Outputs written
+    in place (see open_output) are written as the block runs. Yields the
+    paths opened, a list that grows as the block opens them.
+    """
+    outputs = _Outputs()
+    token = _open_block.set(outputs)
+    try:
+        yield outputs.paths
+        for tmp, path in outputs.held:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:  # name the caller's path
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        _open_block.reset(token)
+        for tmp, _ in outputs.held:
+            _remove(tmp)
+
+
+def _in_place(path) -> bool:
+    """Whether open_output writes ``path`` in place: it exists and is not a regular file."""
+    return os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
+
+
 @contextmanager
 def open_output(path, mode="w"):
     """Open ``path`` to write UTF-8 text (bytes if ``mode`` is "wb"), the twin of open_text.
 
-    Writes go to ``<path>.<pid>.tmp``, moved into place at the end; an error removes it.
-    A ``path`` that exists and is not a regular file (a symlink, a pipe, ``/dev/stdout``)
+    Writes go to ``<path>.<pid>.tmp``, moved into place at the end (at the end
+    of the commit_outputs block, inside one); an error removes it. A ``path``
+    that exists and is not a regular file (a symlink, a pipe, ``/dev/stdout``)
     is written in place instead, so that it stays what it is.
     """
     encoding = None if "b" in mode else "utf-8"
-    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+    block = _open_block.get()
+    if block is not None:
+        block.paths.append(path)
+    if _in_place(path):
         with open(path, mode, encoding=encoding) as fh:
             yield fh
         return
@@ -215,7 +271,10 @@ def open_output(path, mode="w"):
     try:
         with open(tmp, mode, encoding=encoding) as fh:
             yield fh
-        os.replace(tmp, path)
+        if block is None:
+            os.replace(tmp, path)
+        elif not any(os.path.samefile(tmp, held) for held, _ in block.held):
+            block.held.append((tmp, path))  # a file written twice holds the last write
     except BaseException as exc:
         _remove(tmp)
         if isinstance(exc, OSError) and exc.filename == tmp:  # name the caller's path
@@ -237,13 +296,15 @@ def save_envelope(obj: DataMatrix | CorrelationMatrix, path) -> None:
 
     The sidecar ``<path>.npz`` lets load_envelope skip parsing the text (see
     _write_sidecar). Any sidecar already at that name is removed before the
-    JSON is written, so none is left beside JSON it was not written for.
+    JSON is written, so none is left beside JSON it was not written for. A
+    path written in place (a pipe, ``/dev/stdout``) gets no sidecar: it may
+    not be a file that a load can read back.
     """
     sidecar = _sidecar_path(path)
     _remove(sidecar)
-    write_json(obj.to_envelope(), path)
-    if isinstance(obj, CorrelationMatrix):
-        _write_sidecar(obj, path, sidecar)
+    digest = write_json(obj.to_envelope(), path)
+    if isinstance(obj, CorrelationMatrix) and not _in_place(path):
+        _write_sidecar(obj, digest, sidecar)
 
 
 def load_envelope(path) -> DataMatrix | CorrelationMatrix:
@@ -302,8 +363,8 @@ def _file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_sidecar(corr: CorrelationMatrix, path, sidecar: str) -> None:
-    """Write ``corr`` to ``sidecar``, bound to the JSON at ``path`` by its SHA-256.
+def _write_sidecar(corr: CorrelationMatrix, digest: str, sidecar: str) -> None:
+    """Write ``corr`` to ``sidecar``, bound by ``digest`` to the JSON bytes written for it.
 
     An uncompressed npz of ``values`` (C-contiguous float64), ``kind``,
     ``row_ids`` (str) and ``digest``, the hex SHA-256 of the JSON bytes. The
@@ -316,7 +377,7 @@ def _write_sidecar(corr: CorrelationMatrix, path, sidecar: str) -> None:
     with open_output(sidecar, "wb") as fh:
         np.savez(fh, values=np.ascontiguousarray(corr.values, dtype=np.float64),
                  kind=np.array(corr.kind), row_ids=np.array(corr.row_ids, dtype=np.str_),
-                 digest=np.array(_file_digest(path)))
+                 digest=np.array(digest))
 
 
 def _load_sidecar(path) -> tuple | None:

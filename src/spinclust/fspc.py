@@ -40,13 +40,28 @@ _NEW, _SPLIT, _MERGE, _SWAP, _SCRAMBLE, _FLIP = range(len(MUTATION_KINDS))
 _UPPER_MARGIN = 1e-9
 _WORD = 0xFFFFFFFF  # the low 32 bits, and the largest word
 _READ = 512  # the fewest words _mutate_rows reads ahead at a time
+# which of _mutate_rows' draw counts and ranges add the row's cluster count k
+_PLUS_K = np.zeros((len(MUTATION_KINDS), 3), dtype=np.int64)
+_PLUS_K[_MERGE, 1:] = _PLUS_K[_FLIP] = 1
 
-# _cluster_sums gathers the pairs of the clusters of up to N // _GATHER_DIVISOR
+# _cluster_sums gathers the pairs of the clusters of up to _gather_limit(N)
 # members and takes one product for the larger ones; on the grid of _on_grid
 # both are exact in any order. A pair gather or a block of the product holds
 # about _CHUNK values, at least one cluster's or column's.
-_GATHER_DIVISOR = 8
 _CHUNK = 1 << 16
+
+
+def _gather_limit(n: int) -> int:
+    """The largest cluster whose pairs _cluster_sums gathers, at N = n.
+
+    Each size gathered costs a fixed few numpy calls, and a cluster in the
+    product costs about N^2 multiply-adds, so the best limit grows with N
+    and is 0 (every cluster in the product) below N = 56. Timed on
+    recorded GA batches, this rule was at or near the fastest limit at
+    N = 20, 40, 80, 300 and 500 (at N = 2000 the GA's clusters were all
+    small and the limit made no difference).
+    """
+    return max(n // 8 - 6, 0)
 
 
 @dataclass
@@ -131,7 +146,7 @@ def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.
     Labels are sequential along the last axis and ``corr`` is on the grid
     of ``_on_grid``. (P, N) labels give (P, K) tables, K the largest cluster
     count, with size and sum 0 past a row's clusters. Clusters of up to
-    N // _GATHER_DIVISOR members gather their pairs, one size at a time; the
+    _gather_limit(N) members gather their pairs, one size at a time; the
     L larger clusters of the whole batch take one product C @ H, H their
     N x L one-hot matrix, in blocks of columns. On the grid every sum is
     exact: ``corr[np.ix_(idx, idx)].sum()``, alone, in a batch or any block.
@@ -148,7 +163,7 @@ def _cluster_sums(labels: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.
     starts = np.cumsum(sizes) - sizes
     flat_corr = corr.ravel()
 
-    limit = n // _GATHER_DIVISOR
+    limit = _gather_limit(n)
     small = np.flatnonzero((sizes > 0) & (sizes <= limit))
     small_sizes = sizes[small]
     for size in np.flatnonzero(np.bincount(small_sizes)):
@@ -252,8 +267,7 @@ def _lemire(words, r):
     """Lemire's draws in [0, r) from 32-bit words: (values, rejected).
 
     ``Generator.integers`` below 2**32 takes one word per try and skips a
-    rejected one. ``words`` and ``r`` are Python ints, or arrays with ``r``
-    of dtype uint64.
+    rejected one. ``words`` and ``r`` are arrays, ``r`` of dtype uint64.
     """
     m = words * r
     return m >> 32, (m & _WORD) < (1 << 32) % r
@@ -266,13 +280,15 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
     ``rng`` in row order: ``read`` takes their words ahead as full-range
     draws, the kernel works out which ones each row takes, and drawing the
     used words again from the saved state leaves ``rng`` as one-row calls
-    made one after another would.
+    made one after another would. split's tries are counted on ``top``, a
+    byte per word read that holds its top bit.
     Children stay in their parent's numbering, in [0, N), and are not
     resequentialized. split on an all-singleton row and merge on a
     single-cluster row copy the parent.
     """
     state = rng.bit_generator.state
     words = np.empty(0, dtype=np.uint32)
+    top = bytearray()  # each word's top bit, a byte per word
 
     def read(count: int) -> None:  # at least count words in words
         nonlocal words
@@ -280,6 +296,7 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
             more = rng.integers(0, _WORD, size=max(count - words.size, _READ), dtype=np.uint32,
                                 endpoint=True)
             words = np.concatenate([words, more])
+            top.extend((more >= 1 << 31).tobytes())
 
     p, n = pop.shape
     kinds = np.asarray(kinds)
@@ -297,8 +314,7 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
                      [2,     n,                   n - 1],      # swap
                      [2,     max(2, n // 4) - 1,  n - 1],      # scramble
                      [0,     0,                   0]])[kinds]  # flip, plus k
-    spec[is_kind[_MERGE], 1:] += ks[is_kind[_MERGE], None]
-    spec[is_kind[_FLIP]] += ks[is_kind[_FLIP], None]
+    spec += _PLUS_K[kinds] * ks[:, None]
     spec[is_kind[_MERGE] & (ks < 2), 0] = 0  # a single cluster has nothing to merge
     count, first, other = spec.T
     row = np.arange(p).repeat(count)
@@ -333,18 +349,23 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
                 continue
             at += shift
             pick = 0
-            while c > 1:
-                read(at + 1)
-                pick, rejected = _lemire(int(words[at]), c)
-                at += 1
-                if not rejected:
-                    break
+            if c > 1:  # _lemire's rule on one word at a time
+                while True:
+                    if at >= len(top):
+                        read(at + 1)
+                    m = int(words[at]) * c
+                    at += 1
+                    if m & _WORD >= (1 << 32) % c:
+                        break
+                pick = m >> 32
             picks[j] = offsets[j] + pick
             size = member_counts[picks[j]]
-            read(at + size)
-            while np.count_nonzero(words[at:at + size] >> 31) in (0, size):
+            while True:
+                if at + size > len(top):
+                    read(at + size)
+                if 0 < top.count(1, at, at + size) < size:
+                    break
                 at += size
-                read(at + size)
             tries[j] = at
             blocks[j] = at + size - before[j] - shift
             shift += blocks[j]
@@ -390,7 +411,7 @@ def _mutate_rows(pop: np.ndarray, kinds: np.ndarray, rng: np.random.Generator) -
     moved = words[tries[hit] + rank] >= 1 << 31
     out[rows[hit[moved]], col[moved]] = ks[rows[hit[moved]]]
     rng.bit_generator.state = state  # give back the words read past the used ones
-    rng.integers(0, _WORD, size=used, dtype=np.uint32, endpoint=True)
+    rng.random(used, dtype=np.float32)  # a word per value, as the reads took them
     return out
 
 

@@ -4,10 +4,12 @@ import errno
 import hashlib
 import inspect
 import json
+import os
 import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,34 @@ class TestParseTrange:
         parts[position] = value
         with pytest.raises(DomainError, match="bad temperature range"):
             parse_trange(":".join(parts))
+
+    # the grids of README, of the CI walkthrough and of bench/workloads.py, value for value
+    @pytest.mark.parametrize("spec, grid", [
+        ("0.005:0.25:0.005", [i / 1000 for i in range(5, 251, 5)]),
+        ("0.001:0.25:0.005", [i / 1000 for i in range(1, 250, 5)]),
+        ("0.01:0.05:0.02", [0.01, 0.03, 0.05]),
+        ("0.01:0.09:0.04", [0.01, 0.05, 0.09]),
+        ("0.0005:0.1805:0.036", [0.0005, 0.0365, 0.0725, 0.1085, 0.1445, 0.1805]),
+        ("0.0005:0.1805:0.09", [0.0005, 0.0905, 0.1805]),
+        ("0.002:0.092:0.045", [0.002, 0.047, 0.092]),
+        ("0.02:0.26:0.06", [0.02, 0.08, 0.14, 0.2, 0.26]),
+        ("0.02:0.26:0.12", [0.02, 0.14, 0.26]),
+    ])
+    def test_documented_grids_pinned(self, spec, grid):
+        assert parse_trange(spec) == grid
+
+    # a step under the 12-digit rounding or the float spacing at stop (the
+    # points repeat, or never pass stop: the first three never ended) or a
+    # grid past the point bound
+    @pytest.mark.parametrize("spec", ["0.1:1:1e-20", "0.001:1e9:0.001", "0.1:0.1:1e-20",
+                                      "1e9:1e9:1e-9", "0.1:1000.1:0.01"])
+    def test_unbounded_grid_rejected_at_once(self, spec):
+        with pytest.raises(DomainError, match="bad temperature range"):
+            parse_trange(spec)
+
+    def test_largest_grid_accepted(self):
+        grid = parse_trange("1:100000:1")
+        assert len(grid) == cli._MAX_GRID and grid[-1] == 100000.0
 
 
 class TestGenerate:
@@ -940,6 +970,35 @@ class TestEnvelopeSidecar:
         assert run("fspc", "--corr", "sim.json", "--output", "r.json") == 1
 
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_envelope_to_a_pipe_gets_no_sidecar(self, tmp_path):
+        """A pipe is written in place; reading it back for the sidecar's digest hung."""
+        data, fifo = tmp_path / "d.csv", tmp_path / "out.json"
+        assert run("generate", "blobs", "--n", "12", "--dims", "2", "--seed", "1",
+                   "--output", str(data)) == 0
+        assert run("preprocess", "--input", str(data), "--corr", "similarity",
+                   "--output", str(tmp_path / "file.json")) == 0
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        proc = subprocess.run([*cli_command(), "preprocess", "--input", str(data), "--corr",
+                               "similarity", "--output", str(fifo)],
+                              capture_output=True, text=True, timeout=60)
+        reader.join(timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert got == [(tmp_path / "file.json").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d.csv", "d.csv.labels.csv", "file.json", "file.json.npz", "out.json"]
+
+
+def cli_command() -> list[str]:
+    """argv that runs this checkout's CLI in a fresh process."""
+    src = str(Path(spinclust.__file__).resolve().parents[1])
+    return [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+            "from spinclust.cli import main; sys.exit(main(sys.argv[1:]))"]
+
+
 class FullDisk:
     """An open file whose every write lands and then raises ENOSPC, as on a full disk."""
 
@@ -1007,6 +1066,58 @@ class TestInterruptedWrite:
         else:
             assert target.read_bytes() == b"earlier bytes\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestOutputsPerCommand:
+    """A command's outputs are moved into place together, once all are written."""
+
+    def test_validate_keeps_earlier_outputs_when_one_fails(self, pipeline, tmp_path, capsys):
+        _, _, sim, sweep, _ = pipeline
+        (tmp_path / "r.csv").mkdir()
+        (tmp_path / "r.json").write_text("earlier\n")
+        assert run("validate", "--sweep", str(sweep), "--corr", str(sim),
+                   "--output", str(tmp_path / "r")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Is a directory" in err
+        assert (tmp_path / "r.json").read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
+    def test_generate_writes_no_data_when_labels_fail(self, tmp_path, capsys):
+        (tmp_path / "labels").mkdir()
+        assert run("generate", "blobs", "--n", "12", "--dims", "2", "--output",
+                   str(tmp_path / "d.csv"), "--labels", str(tmp_path / "labels")) == 1
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["labels"]
+
+    def test_file_named_twice_keeps_the_last_write(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("generate", "blobs", "--n", "4", "--dims", "2", "--output", "d.csv",
+                   "--labels", "l.csv") == 0
+        assert run("generate", "blobs", "--n", "4", "--dims", "2", "--output", "./x.csv",
+                   "--labels", "x.csv") == 0
+        assert Path("x.csv").read_bytes() == Path("l.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "l.csv", "x.csv"]
+
+    def test_status_line_on_stdout(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run("generate", "blobs", "--n", "4", "--dims", "2", "--output", str(data)) == 0
+        assert capsys.readouterr() == (f"wrote {data} (4 x 2) and {data}.labels.csv\n", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("into", ["file", "pipe"])
+    def test_stdout_output_keeps_stdout_to_itself(self, tmp_path, into):
+        """The status line went to stdout too, over the CSV in a file, after it in a pipe."""
+        argv = ["generate", "blobs", "--n", "4", "--dims", "2", "--seed", "1",
+                "--labels", str(tmp_path / "l.csv")]
+        assert run(*argv, "--output", str(tmp_path / "ref.csv")) == 0
+        with open(tmp_path / "f.csv", "wb") as fh:
+            proc = subprocess.run([*cli_command(), *argv, "--output", "/dev/stdout"],
+                                  stdout=fh if into == "file" else subprocess.PIPE,
+                                  stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 0
+        got = (tmp_path / "f.csv").read_bytes() if into == "file" else proc.stdout
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert proc.stderr.decode() == f"wrote /dev/stdout (4 x 2) and {tmp_path / 'l.csv'}\n"
 
 
 class TestReadmeCommands:

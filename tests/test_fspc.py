@@ -17,7 +17,7 @@ from spinclust.evaluation import adjusted_rand_index
 from spinclust.fspc import (
     MUTATION_KINDS,
     _cluster_sums,
-    _GATHER_DIVISOR,
+    _gather_limit,
     _kmeans_from_sums,
     _lc_from_sums,
     _mutate_rows,
@@ -133,7 +133,7 @@ def make_labeling(rng, n, shape):
     elif shape == "giant":
         labels = np.zeros(n, dtype=np.int64)
     else:
-        t = n // _GATHER_DIVISOR
+        t = _gather_limit(n)
         labels = rng.integers(2, 6, size=n)
         labels[:t] = 0
         labels[t:2 * t + 1] = 1
@@ -231,17 +231,17 @@ class TestClusterSums:
 
     def test_population_rows_score_as_alone(self):
         # a GA-like batch: condensed, fragmented and mixed labelings with 0 to
-        # 7 clusters above the gather limit, at N where the limit is N // 8;
+        # 7 clusters above the gather limit, at N where the limit is 9;
         # likelihood rounds C to the grid itself
         rng = np.random.default_rng(70)
         n = 120
         corr = CorrelationMatrix(np.corrcoef(rng.normal(size=(n, 300))), "pearson")
         rows = [make_labeling(rng, n, LABELING_SHAPES[i % 5]) for i in range(40)]
-        for width in range(8):  # width clusters of 16 members (the limit is 15), singletons
+        for width in range(8):  # width clusters of 16 members (the limit is 9), singletons
             labels = np.r_[np.repeat(np.arange(width), 16), np.arange(width, n - 15 * width)]
             rows.append(sequentialize(rng.permutation(labels)))
         batch = np.stack(rows)
-        widths = {int((np.bincount(row) > n // _GATHER_DIVISOR).sum()) for row in batch}
+        widths = {int((np.bincount(row) > _gather_limit(n)).sum()) for row in batch}
         assert widths == set(range(8))
         scores = _lc_from_sums(*_cluster_sums(batch, _on_grid(corr.values)))
         for labels, score in zip(batch, scores):
@@ -489,6 +489,8 @@ class TestMutateRows:
              list(range(6)), 2, True, np.random.PCG64)
     @example(6, 300, ["random", "few", "singletons", "giant", "few", "random"],
              list(range(6)), 3, True, np.random.MT19937)
+    # the split row's sixth try, words 1511 and 1512, crosses the end of the 1512 words read ahead
+    @example(6, 300, ["random"] * 6, [0, 0, 0, 0, 0, 1], 22, False, np.random.PCG64)
     def test_batch_equals_rows_and_reference(self, p, n, shapes, kinds, seed, buffered,
                                              bit_generator):
         rng = np.random.default_rng(seed)
