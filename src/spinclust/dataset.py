@@ -41,6 +41,10 @@ _UNIT_TOL = 1e-12
 # what json gives for a number or null; bool is excluded, though a subclass of int
 _CELL_TYPES = {int, float, type(None)}
 
+# rows and columns per tile when a matrix is symmetrized in place, and rows per
+# block when the k-NN step partitions the distances
+_TILE = 128
+
 
 @dataclass
 class DataMatrix:
@@ -610,8 +614,8 @@ def make_positive_definite(corr: CorrelationMatrix, eps: float = _PD_EPS) -> Cor
     a = np.asarray(corr.values, dtype=float)
     if not np.allclose(a, a.T, rtol=0, atol=_SYMMETRY_ATOL):
         raise DomainError("make_positive_definite requires a symmetric matrix")
-    a = a + a.T
-    a *= 0.5
+    a = a.copy()
+    _symmetrize(a)
     if np.linalg.eigvalsh(a)[0] < eps or np.max(np.abs(np.diag(a) - 1.0)) > _UNIT_TOL:
         w, v = np.linalg.eigh(a)
         del a
@@ -619,10 +623,34 @@ def make_positive_definite(corr: CorrelationMatrix, eps: float = _PD_EPS) -> Cor
         del v
         scale = np.outer(np.diag(a), np.diag(a))
         a /= np.sqrt(scale, out=scale)
-        a = np.add(a, a.T, out=scale)
-        a *= 0.5
-        np.fill_diagonal(a, 1.0)
+        del scale
+        repaired = _correlation(a, corr.kind, corr.row_ids)
         if (low := np.linalg.eigvalsh(a)[0]) < eps:
             raise DomainError(f"positive-definite repair left smallest eigenvalue "
                               f"{low:.3g} < eps = {eps:.3g}")
+        return repaired
     return CorrelationMatrix(a, corr.kind, row_ids=list(corr.row_ids))
+
+
+def _correlation(a: np.ndarray, kind: str, row_ids) -> CorrelationMatrix:
+    """``a``, symmetrized in place with its diagonal set to 1, as a ``kind`` correlation."""
+    _symmetrize(a)
+    np.fill_diagonal(a, 1.0)
+    return CorrelationMatrix(a, kind, row_ids=list(row_ids))
+
+
+def _symmetrize(a: np.ndarray) -> None:
+    """Set a to 0.5 (a + a.T) in place, one pair of _TILE x _TILE tiles at a time.
+
+    Both tiles of a pair are read before either is written; the sum is the
+    same bits in either order, so the tile below is the transpose of the
+    one above.
+    """
+    n = a.shape[0]
+    for lo in range(0, n, _TILE):
+        for col in range(lo, n, _TILE):
+            upper, lower = a[lo:lo + _TILE, col:col + _TILE], a[col:col + _TILE, lo:lo + _TILE]
+            mean = upper + lower.T
+            mean *= 0.5
+            upper[...] = mean
+            lower[...] = mean.T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _UNIT_TOL, CorrelationMatrix, DataMatrix
+from .dataset import _UNIT_TOL, CorrelationMatrix, DataMatrix, _correlation, _symmetrize
 from .errors import DegenerateInputError, DegenerateSpectrumError, DomainError
 
 
@@ -98,18 +98,13 @@ def rmt_denoise(data: DataMatrix, upper_only: bool = False) -> CorrelationMatrix
     recon = w @ (w.T @ x)
     # correlations of the reconstruction; rows that project to (near) zero
     # carry no retained signal and get zero off-diagonal entries
-    sd = recon.std(axis=1)
-    good = sd > 1e-12
+    good = recon.std(axis=1) > 1e-12
+    g = recon[good]
+    g = g - g.mean(axis=1, keepdims=True)
+    g = g / np.linalg.norm(g, axis=1, keepdims=True)
     out = np.eye(n)
-    if good.any():
-        g = recon[good]
-        g = g - g.mean(axis=1, keepdims=True)
-        g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        sub = np.clip(g @ g.T, -1.0, 1.0)
-        out[np.ix_(good, good)] = sub
-    np.fill_diagonal(out, 1.0)
-    out = 0.5 * (out + out.T)
-    return CorrelationMatrix(out, "denoised_rmt", row_ids=list(data.row_ids))
+    out[np.ix_(good, good)] = np.clip(g @ g.T, -1.0, 1.0)
+    return _correlation(out, "denoised_rmt", data.row_ids)
 
 
 def imn_denoise(data_or_cov: DataMatrix | CorrelationMatrix | np.ndarray,
@@ -125,18 +120,13 @@ def imn_denoise(data_or_cov: DataMatrix | CorrelationMatrix | np.ndarray,
     """
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")
-    row_ids: list[str] = []
+    row_ids = list(getattr(data_or_cov, "row_ids", []))
     if isinstance(data_or_cov, DataMatrix):
         if not data_or_cov.fully_observed:
             raise DomainError("imn_denoise needs fully observed data (or a covariance)")
-        x = data_or_cov.values.astype(float)
-        a = np.cov(x, ddof=0)
-        row_ids = list(data_or_cov.row_ids)
-    elif isinstance(data_or_cov, CorrelationMatrix):
-        a = data_or_cov.values.astype(float).copy()
-        row_ids = list(data_or_cov.row_ids)
+        a = np.cov(data_or_cov.values, ddof=0)
     else:
-        a = np.asarray(data_or_cov, dtype=float).copy()
+        a = np.array(getattr(data_or_cov, "values", data_or_cov), dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError("covariance input must be square")
     if a.shape[0] < 2:
@@ -148,12 +138,12 @@ def imn_denoise(data_or_cov: DataMatrix | CorrelationMatrix | np.ndarray,
         a = _standardize_rows(a)
         a = _standardize_rows(a.T).T
 
-    a = 0.5 * (a + a.T)
+    _symmetrize(a)
     d = np.diag(a).copy()
     if np.any(d <= 0.0):
         raise DegenerateInputError("nonpositive diagonal after normalization")
-    a = a / np.sqrt(np.outer(d, d))
-    np.fill_diagonal(a, 1.0)
+    a /= np.sqrt(np.outer(d, d))
+    out = _correlation(a, "denoised_imn", row_ids)
     big = np.abs(a) > 1.0 + _UNIT_TOL
     if big.any():
         i, j = np.argwhere(big)[0]
@@ -162,7 +152,7 @@ def imn_denoise(data_or_cov: DataMatrix | CorrelationMatrix | np.ndarray,
             f"denoised entry ({names[i]!r}, {names[j]!r}) is {float(a[i, j])!r}, outside "
             f"[-1, 1]: the standardized covariance is indefinite (rank-deficient or "
             f"ill-conditioned input)")
-    return CorrelationMatrix(a, "denoised_imn", row_ids=row_ids)
+    return out
 
 
 def _converged(a: np.ndarray, tol: float) -> bool:

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CorrelationMatrix, DataMatrix
+from .dataset import _TILE, CorrelationMatrix, DataMatrix, _correlation
 from .errors import DegenerateInputError, DomainError
 from .evaluation import minimum_spanning_tree
-
-# rows and columns per tile when a matrix is symmetrized in place, and rows per
-# block when the k-NN step partitions a copy of the distances
-_TILE = 128
 
 
 @dataclass
@@ -103,27 +99,7 @@ def similarity_from_distance(dist: np.ndarray, row_ids=None) -> CorrelationMatri
         raise DegenerateInputError("all distances are zero; similarity undefined")
     s = np.divide(d, dmax)
     np.subtract(1.0, s, out=s)
-    np.fill_diagonal(s, 1.0)
-    _symmetrize(s)
-    return CorrelationMatrix(s, "similarity_from_distance",
-                             row_ids=list(row_ids) if row_ids else [])
-
-
-def _symmetrize(s: np.ndarray) -> None:
-    """Set s to 0.5 (s + s.T) in place, one pair of _TILE x _TILE tiles at a time.
-
-    Both tiles of a pair are read before either is written; the sum is the
-    same bits in either order, so the tile below is the transpose of the
-    one above.
-    """
-    n = s.shape[0]
-    for lo in range(0, n, _TILE):
-        for col in range(lo, n, _TILE):
-            upper, lower = s[lo:lo + _TILE, col:col + _TILE], s[col:col + _TILE, lo:lo + _TILE]
-            mean = upper + lower.T
-            mean *= 0.5
-            upper[...] = mean
-            lower[...] = mean.T
+    return _correlation(s, "similarity_from_distance", row_ids or ())
 
 
 def mutual_knn_graph(dist: np.ndarray, k: int) -> NeighborGraph:
@@ -162,23 +138,25 @@ def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
     """Each row's k nearest other nodes, ranked by (distance, index): an N x k array.
 
     The same as ``np.argsort(ranked, axis=1, kind="stable")[:, :k]`` with
-    +inf on the diagonal of ``ranked``, without sorting whole rows: a
+    +inf on the diagonal of ``ranked``, without sorting whole rows. Each
+    block of _TILE rows is copied with +inf on its diagonal cells; a
     partition gives each row's k-th smallest distance, and only the
     candidates up to it, which ``np.nonzero`` lists in ascending index
-    order, are sorted. The partition runs on _TILE rows at a time, so one
-    N x N copy of ``d`` is held, ``ranked``.
+    order, are sorted. No N x N array is held besides ``d``.
     """
     n = d.shape[0]
-    ranked = d.copy()
-    np.fill_diagonal(ranked, np.inf)
-    kth = np.empty(n)
+    nearest = np.empty((n, k), dtype=np.intp)
     for lo in range(0, n, _TILE):
-        kth[lo:lo + _TILE] = np.partition(ranked[lo:lo + _TILE], k - 1, axis=1)[:, k - 1]
-    r, c = np.nonzero(ranked <= kth[:, None])
-    order = np.lexsort((c, ranked[r, c], r))
-    counts = np.bincount(r, minlength=n)
-    first_k = np.arange(r.size) - (np.cumsum(counts) - counts)[r[order]] < k
-    return c[order[first_k]].reshape(n, k)
+        block = d[lo:lo + _TILE].copy()
+        rows = np.arange(block.shape[0])
+        block[rows, lo + rows] = np.inf
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        r, c = np.nonzero(block <= kth[:, None])
+        order = np.lexsort((c, block[r, c], r))
+        counts = np.bincount(r, minlength=rows.size)
+        first_k = np.arange(r.size) - (np.cumsum(counts) - counts)[r[order]] < k
+        nearest[lo:lo + _TILE] = c[order[first_k]].reshape(-1, k)
+    return nearest
 
 
 def strength_matrix(graph: NeighborGraph) -> StrengthGraph:

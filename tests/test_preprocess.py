@@ -158,6 +158,78 @@ class TestRmtDenoise:
             rmt_denoise(DataMatrix(vals, mask))
 
 
+def sector_panel(seed, n=90, d=150, sectors=3) -> DataMatrix:
+    """Rows driven by one of three sector factors, each row on its own scale."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(sectors, d))[np.arange(n) % sectors]
+    x = (0.7 * factors + 0.7 * rng.normal(size=(n, d))) * rng.uniform(0.5, 3.0, size=(n, 1))
+    return DataMatrix(x, None, row_ids=[f"s{i}" for i in range(n)])
+
+
+def rmt_before(data: DataMatrix, upper_only: bool) -> np.ndarray:
+    """rmt_denoise's values by its whole-array expressions of before it returned
+    through the shared correlation finisher: a bit oracle."""
+    n, d = data.n_rows, data.n_cols
+    x = data.values
+    x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    evals, evecs = np.linalg.eigh((x @ x.T) / d)
+    b = wishart_bounds(n, d)
+    keep = (evals > b.lambda_max) | ((evals < b.lambda_min) & (not upper_only))
+    w = evecs[:, keep]
+    recon = w @ (w.T @ x)
+    good = recon.std(axis=1) > 1e-12
+    out = np.eye(n)
+    if good.any():
+        g = recon[good]
+        g = g - g.mean(axis=1, keepdims=True)
+        g = g / np.linalg.norm(g, axis=1, keepdims=True)
+        out[np.ix_(good, good)] = np.clip(g @ g.T, -1.0, 1.0)
+    np.fill_diagonal(out, 1.0)
+    return 0.5 * (out + out.T)
+
+
+def imn_before(a: np.ndarray, max_iters: int = 500, tol: float = 1e-8) -> np.ndarray:
+    """imn_denoise's values by its whole-array expressions of before it returned
+    through the shared correlation finisher, on input that raises nothing."""
+    for _ in range(max_iters):
+        if (max(np.abs(a.mean(axis=1)).max(), np.abs(a.mean(axis=0)).max()) < tol
+                and max(np.abs(a.std(axis=1) - 1.0).max(),
+                        np.abs(a.std(axis=0) - 1.0).max()) < tol):
+            break
+        a = (a - a.mean(axis=1, keepdims=True)) / a.std(axis=1, keepdims=True)
+        a = ((a.T - a.T.mean(axis=1, keepdims=True)) / a.T.std(axis=1, keepdims=True)).T
+    a = 0.5 * (a + a.T)
+    d = np.diag(a).copy()
+    a = a / np.sqrt(np.outer(d, d))
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+class TestDenoiseBits:
+    """Same bits as the whole-array expressions, for every input kind."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("upper_only", [False, True])
+    def test_rmt_denoise(self, seed, upper_only):
+        data = sector_panel(seed)
+        got = rmt_denoise(data, upper_only=upper_only)
+        assert got.values.tobytes() == rmt_before(data, upper_only).tobytes()
+        assert got.row_ids == data.row_ids
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("given", ["data", "correlation", "array"])
+    def test_imn_denoise(self, seed, given):
+        data = sector_panel(seed)
+        cov = np.cov(data.values, ddof=0)
+        corr = CorrelationMatrix(np.corrcoef(data.values), "pearson", row_ids=data.row_ids)
+        arg, start = {"data": (data, cov), "correlation": (corr, corr.values),
+                      "array": (cov, cov)}[given]
+        got = imn_denoise(arg)
+        assert got.values.tobytes() == imn_before(start).tobytes()
+        assert got.row_ids == (data.row_ids if given != "array" else
+                               [str(i) for i in range(data.n_rows)])
+
+
 def reference_imn(cov, iters):
     """Straightforward loop implementation kept as the oracle."""
     a = cov.copy().astype(float)

@@ -146,6 +146,17 @@ class TestSimilarityPathBitsAndMemory:
         assert got.tobytes() == np.argsort(ranked, axis=1, kind="stable")[:, :10].tobytes()
         assert peak <= 1.6 * NN
 
+    def test_k_nearest_holds_no_copy_of_the_distances(self):
+        """Each block of rows is copied and partitioned on its own (1.15 at the whole copy)."""
+        n = 1000
+        d = euclidean_distances(DataMatrix(np.random.default_rng(15).normal(
+            size=(n, GUARD_D)), None))
+        got, peak = traced_peak(_k_nearest, d, 10)
+        ranked = d.copy()
+        np.fill_diagonal(ranked, np.inf)
+        assert got.tobytes() == np.argsort(ranked, axis=1, kind="stable")[:, :10].tobytes()
+        assert peak <= 0.5 * n * n * 8
+
 
 def brute_mutual_knn(d, k):
     """Brute-force oracle for the mutual edge set (before MST merge)."""
