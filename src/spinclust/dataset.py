@@ -220,6 +220,7 @@ class _Outputs:
 
     paths: list = field(default_factory=list)  # every output, in the order opened
     held: list = field(default_factory=list)   # (tmp, path): moved into place at the end
+    stale: list = field(default_factory=list)  # removed once the held ones are in place
 
 
 _open_block: ContextVar[_Outputs | None] = ContextVar("_open_block", default=None)
@@ -230,9 +231,10 @@ def commit_outputs():
     """Move every output that open_output writes inside the block into place at its end.
 
     An error inside the block removes them all, so a command that fails on
-    any of its outputs leaves every earlier file as it was. Outputs written
-    in place (see open_output) are written as the block runs. Yields the
-    paths opened, a list that grows as the block opens them.
+    any of its outputs leaves every earlier file as it was; so does a stale
+    file that _remove_stale names. Outputs written in place (see open_output)
+    are written as the block runs. Yields the paths opened, a list that grows
+    as the block opens them.
     """
     outputs = _Outputs()
     token = _open_block.set(outputs)
@@ -243,6 +245,8 @@ def commit_outputs():
                 os.replace(tmp, path)
             except OSError as exc:  # name the caller's path
                 raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        for path in outputs.stale:
+            _remove(path)
     finally:
         _open_block.reset(token)
         for tmp, _ in outputs.held:
@@ -261,29 +265,53 @@ def open_output(path, mode="w"):
     Writes go to ``<path>.<pid>.tmp``, moved into place at the end (at the end
     of the commit_outputs block, inside one); an error removes it. A ``path``
     that exists and is not a regular file (a symlink, a pipe, ``/dev/stdout``)
-    is written in place instead, so that it stays what it is.
+    is written in place instead, so that it stays what it is. Inside a block,
+    a ``path`` that names the same file as an earlier output of the block is
+    a DomainError, raised before it is opened. An OSError while the file is
+    opened, written or closed is raised under ``path``.
     """
     encoding = None if "b" in mode else "utf-8"
     block = _open_block.get()
     if block is not None:
+        for earlier in block.paths:
+            if _same_file(path, earlier):
+                raise DomainError(f"{path}: names the same file as {earlier}, "
+                                  f"an earlier output of this command")
         block.paths.append(path)
-    if _in_place(path):
-        with open(path, mode, encoding=encoding) as fh:
-            yield fh
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = None if _in_place(path) else f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=encoding) as fh:
+        with open(tmp or path, mode, encoding=encoding) as fh:
             yield fh
+        if tmp is None:
+            return
         if block is None:
             os.replace(tmp, path)
-        elif not any(os.path.samefile(tmp, held) for held, _ in block.held):
-            block.held.append((tmp, path))  # a file written twice holds the last write
+        else:
+            block.held.append((tmp, path))
     except BaseException as exc:
-        _remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:  # name the caller's path
+        if tmp is not None:
+            _remove(tmp)
+        if isinstance(exc, OSError):  # name the caller's path
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
+
+
+def _remove_stale(path) -> None:
+    """Remove ``path`` once the outputs of the commit_outputs block are in place,
+    so a block that fails leaves it as it was; outside a block, remove it now."""
+    block = _open_block.get()
+    if block is None:
+        _remove(path)
+    else:
+        block.stale.append(path)
+
+
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: an existing one, or one real path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def read_json(path):
@@ -299,16 +327,18 @@ def save_envelope(obj: DataMatrix | CorrelationMatrix, path) -> None:
     """Write ``obj`` as a JSON envelope; a correlation also gets a binary sidecar.
 
     The sidecar ``<path>.npz`` lets load_envelope skip parsing the text (see
-    _write_sidecar). Any sidecar already at that name is removed before the
-    JSON is written, so none is left beside JSON it was not written for. A
-    path written in place (a pipe, ``/dev/stdout``) gets no sidecar: it may
-    not be a file that a load can read back.
+    _write_sidecar). When none is written, any sidecar already at that name
+    is removed once the JSON is in place (see _remove_stale), so none is
+    left beside JSON it was not written for. A path written in place (a
+    pipe, ``/dev/stdout``) gets no sidecar: it may not be a file that a
+    load can read back.
     """
-    sidecar = _sidecar_path(path)
-    _remove(sidecar)
     digest = write_json(obj.to_envelope(), path)
-    if isinstance(obj, CorrelationMatrix) and not _in_place(path):
-        _write_sidecar(obj, digest, sidecar)
+    sidecar = _sidecar_path(path)
+    wrote = (isinstance(obj, CorrelationMatrix) and not _in_place(path)
+             and _write_sidecar(obj, digest, sidecar))
+    if not wrote:
+        _remove_stale(sidecar)
 
 
 def load_envelope(path) -> DataMatrix | CorrelationMatrix:
@@ -367,21 +397,22 @@ def _file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_sidecar(corr: CorrelationMatrix, digest: str, sidecar: str) -> None:
+def _write_sidecar(corr: CorrelationMatrix, digest: str, sidecar: str) -> bool:
     """Write ``corr`` to ``sidecar``, bound by ``digest`` to the JSON bytes written for it.
 
     An uncompressed npz of ``values`` (C-contiguous float64), ``kind``,
     ``row_ids`` (str) and ``digest``, the hex SHA-256 of the JSON bytes. The
     JSON holds shortest round-trip floats, so these values are the bits a
     parse of it gives. Row ids that a numpy str array would change (an id that is
-    not a str, or that ends in NUL) get no sidecar.
+    not a str, or that ends in NUL) get no sidecar. Returns whether one was written.
     """
     if not all(isinstance(r, str) and not r.endswith("\0") for r in corr.row_ids):
-        return
+        return False
     with open_output(sidecar, "wb") as fh:
         np.savez(fh, values=np.ascontiguousarray(corr.values, dtype=np.float64),
                  kind=np.array(corr.kind), row_ids=np.array(corr.row_ids, dtype=np.str_),
                  digest=np.array(digest))
+    return True
 
 
 def _load_sidecar(path) -> tuple | None:

@@ -1060,11 +1060,8 @@ class TestInterruptedWrite:
         assert main(argv.split()) == 1
         monkeypatch.undo()
         assert capsys.readouterr().err.splitlines() == [
-            "error: [Errno 28] No space left on device"]
-        if name.endswith(".npz"):  # removed before the JSON is written: it would not match it
-            assert not target.exists()
-        else:
-            assert target.read_bytes() == b"earlier bytes\n"
+            f"error: [Errno 28] No space left on device: '{target}'"]
+        assert target.read_bytes() == b"earlier bytes\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
 
@@ -1089,14 +1086,19 @@ class TestOutputsPerCommand:
         assert capsys.readouterr().out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["labels"]
 
-    def test_file_named_twice_keeps_the_last_write(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, first, second", [
+        ("generate blobs --n 6 --dims 2 --output x.csv --labels ./x.csv", "x.csv", "./x.csv"),
+        ("mst --input d.csv --output t.json --dot t.json", "t.json", "t.json"),
+    ], ids=["generate", "mst"])
+    def test_file_named_twice_fails(self, tmp_path, monkeypatch, capsys, argv, first, second):
+        """The later write won: x.csv held only the labels, t.json only the DOT text."""
         monkeypatch.chdir(tmp_path)
-        assert run("generate", "blobs", "--n", "4", "--dims", "2", "--output", "d.csv",
-                   "--labels", "l.csv") == 0
-        assert run("generate", "blobs", "--n", "4", "--dims", "2", "--output", "./x.csv",
-                   "--labels", "x.csv") == 0
-        assert Path("x.csv").read_bytes() == Path("l.csv").read_bytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "l.csv", "x.csv"]
+        assert run("generate", "blobs", "--n", "6", "--dims", "2", "--output", "d.csv") == 0
+        capsys.readouterr()
+        assert main(argv.split()) == 1
+        assert capsys.readouterr() == ("", f"error: {second}: names the same file as {first}, "
+                                           f"an earlier output of this command\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.labels.csv"]
 
     def test_status_line_on_stdout(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
